@@ -28,7 +28,6 @@ class RunConfig:
     """Per-invocation settings shared by the subcommand handlers."""
 
     k: int = 1
-    degree: int | None = None
     max_len: int | None = None
     json_out: bool = False
     paths: tuple[str, ...] = ()
@@ -36,14 +35,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.degree is not None and self.degree < 1:
-            raise ValueError(f"degree must be >= 1, got {self.degree}")
 
     @classmethod
     def from_args(cls, args: argparse.Namespace, paths: tuple[str, ...] = ()) -> "RunConfig":
         return cls(
             k=getattr(args, "k", 1),
-            degree=getattr(args, "degree", None),
             max_len=getattr(args, "max_len", None),
             json_out=getattr(args, "json", False),
             paths=paths,
@@ -84,16 +80,7 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
     code = gauss.parse(_read_source(args.code))
     if args.index:
         I = _parse_index(args.index)
-        invariants.r_index(I)
-        for j in I:
-            if not 1 <= j <= code.n:
-                raise ValueError(f"index {j} out of range 1..{code.n}")
-        if len(I) == 1:
-            value = 0
-        else:
-            q = max(len(I) - 1, cfg.degree or 1)
-            lam = gauss.longitude_series(code, q=q)
-            value = magnus.coefficient(lam[I[-1] - 1], I[:-1])
+        value = invariants.milnor(code, I)
         if cfg.json_out:
             print(json.dumps({"schema": 1, "I": list(I), "mu": value}, sort_keys=True))
         else:
@@ -103,7 +90,7 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
 
 
 def _print_table(code: gauss.StringLinkCode, cfg: RunConfig) -> int:
-    table = invariants.milnor_table(code, cfg.k, cfg.max_len, degree=cfg.degree)
+    table = invariants.milnor_table(code, cfg.k, cfg.max_len)
     if cfg.json_out:
         print(json.dumps({"schema": 1, "k": table.k, "max_len": table.max_len,
                           "entries": table.to_json_obj()}, sort_keys=True))
@@ -122,21 +109,26 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args, paths=(args.left, args.right))
     a = gauss.parse(_read_source(args.left))
     b = gauss.parse(_read_source(args.right))
-    equal = invariants.k_equal(a, b, cfg.k, mode=args.mode)
-    witness = None if equal else invariants.k_equal_witness(a, b, cfg.k)
+    # table mode reads its verdict off the witness; the other modes decide
+    # by their own route and build the tables only to report a witness
+    if args.mode == "table":
+        diff = invariants.table_difference(a, b, cfg.k)
+        equal = diff is None
+    else:
+        equal = invariants.k_equal(a, b, cfg.k, mode=args.mode)
+        diff = None if equal else invariants.table_difference(a, b, cfg.k)
     if cfg.json_out:
         obj = {"schema": 1, "k": cfg.k, "mode": args.mode,
                "result": "equal" if equal else "distinct"}
-        if witness is not None:
-            obj["witness"] = {"I": list(witness),
-                              "left": invariants.milnor(a, witness),
-                              "right": invariants.milnor(b, witness)}
+        if diff is not None:
+            I, va, vb = diff
+            obj["witness"] = {"I": list(I), "left": va, "right": vb}
         print(json.dumps(obj, sort_keys=True))
     else:
         print("equal" if equal else "distinct")
-        if witness is not None:
-            va, vb = invariants.milnor(a, witness), invariants.milnor(b, witness)
-            print(f"witness: mu({','.join(map(str, witness))}) = {va} vs {vb}")
+        if diff is not None:
+            I, va, vb = diff
+            print(f"witness: mu({','.join(map(str, I))}) = {va} vs {vb}")
     return 0 if equal else 1
 
 
@@ -256,12 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Milnor invariants of welded string links")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, k=True, degree=False, max_len=False):
+    def add_common(sp, k=True, max_len=False):
         if k:
             sp.add_argument("--k", type=int, default=1, help="filter level k >= 1")
-        if degree:
-            sp.add_argument("--degree", type=int, default=None,
-                            help="truncation degree override (headroom only)")
         if max_len:
             sp.add_argument("--max-len", type=int, default=None, dest="max_len",
                             help="largest index length to report")
@@ -270,12 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("milnor", help="invariant table, or one mu(I) with --index")
     sp.add_argument("code", help="Gauss-code file or inline text")
     sp.add_argument("--index", default=None, help="comma-separated index, e.g. 2,1")
-    add_common(sp, degree=True, max_len=True)
+    add_common(sp, max_len=True)
     sp.set_defaults(func=_cmd_milnor)
 
     sp = sub.add_parser("table", help="nonzero mu(I) with r(I) <= k")
     sp.add_argument("code", help="Gauss-code file or inline text")
-    add_common(sp, degree=True, max_len=True)
+    add_common(sp, max_len=True)
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("compare", help="decide the level-k equivalence of two codes")

@@ -23,7 +23,6 @@ successive-approximation solve that certifies itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -51,6 +50,7 @@ __all__ = [
     "milnor_table",
     "k_equal",
     "k_equal_witness",
+    "table_difference",
     "KReducedAction",
     "identity_action",
     "action",
@@ -88,12 +88,24 @@ def _check_index(I: Sequence[int], n: int) -> tuple[int, ...]:
 
 def milnor(L: StringLinkCode, I: Sequence[int]) -> int:
     """The invariant mu(I): coefficient of X_{j_1}...X_{j_l} in the series
-    of the i-th longitude, where I = (j_1, ..., j_l, i)."""
+    of the i-th longitude, where I = (j_1, ..., j_l, i).
+
+    The longitudes are expanded in the sublink quotient of I: each variable
+    X_j occurring m_j > 0 times in (j_1, ..., j_l) is capped at m_j + 1
+    occurrences, every other variable at 1 (it is set to zero), and the
+    degree at l.  The monomial X_{j_1}...X_{j_l} survives, and the set of
+    surviving monomials is closed under prefixes and suffixes, so the
+    quotient is a ring quotient and the coefficient is the one of the full
+    expansion.  The cost follows l and the multiplicities in I, not n.
+    """
     I = _check_index(I, L.n)
     if len(I) == 1:
         return 0
-    lam = longitude_series(L, q=len(I) - 1)
-    return coefficient(lam[I[-1] - 1], I[:-1])
+    head = I[:-1]
+    caps = [head.count(j) + 1 for j in range(1, L.n + 1)]
+    pol = TruncationPolicy.with_caps(L.n, caps, len(head))
+    lam = longitude_series(L, policy=pol)
+    return coefficient(lam[I[-1] - 1], head)
 
 
 @dataclass
@@ -125,12 +137,20 @@ class InvariantTable:
         return None
 
 
-def milnor_table(
-    L: StringLinkCode, k: int, max_len: int | None = None, degree: int | None = None
-) -> InvariantTable:
-    """Every mu(I) with r(I) <= k, |I| <= min(max_len, n*k), from one
-    longitude pass per component.  ``degree`` can only raise the truncation
-    degree of that pass above the minimum; the table is unaffected."""
+def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> InvariantTable:
+    """Every mu(I) with r(I) <= k and |I| <= cap = min(max_len, n*k), from
+    one longitude pass.
+
+    The pass runs in the quotient that caps every variable at k + 1
+    occurrences and the degree at cap - 1.  An entry I = (J, i) reads the
+    coefficient of the monomial J, which has every variable at most k times
+    and length at most cap - 1, so it survives; the surviving set is closed
+    under prefixes and suffixes, so the quotient is a ring quotient and the
+    longitude series in it is the projection of the full one.  The entries
+    are then the nonzero monomials J of longitude i with fewer than k
+    occurrences of X_i.  Cost follows that policy's monomial count (4,845
+    at n=4, k=2), not the n^(n*k) index tuples of length up to n*k.
+    """
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
     n = L.n
@@ -138,14 +158,11 @@ def milnor_table(
     table = InvariantTable(rank=n, k=k, max_len=cap)
     if cap < 2:
         return table
-    lam = longitude_series(L, q=max(cap - 1, degree or 0))
-    for length in range(2, cap + 1):
-        for I in itertools.product(range(1, n + 1), repeat=length):
-            if r_index(I) > k:
-                continue
-            v = coefficient(lam[I[-1] - 1], I[:-1])
-            if v:
-                table.entries[I] = v
+    pol = TruncationPolicy.with_caps(n, (k + 1,) * n, cap - 1)
+    for i, lam in enumerate(longitude_series(L, policy=pol), start=1):
+        for mono, v in lam.items():
+            if mono and mono.count(i) < k:
+                table.entries[mono + (i,)] = v
     return table
 
 
@@ -178,10 +195,24 @@ def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -
     raise InvariantError(f"unknown mode {mode!r}")
 
 
+def table_difference(
+    L: StringLinkCode, M: StringLinkCode, k: int
+) -> tuple[tuple[int, ...], int, int] | None:
+    """The first index I (by length, then lexicographically) with r(I) <= k
+    where the tables differ, with mu(I) of L and of M; None when they agree.
+    One table pass per link."""
+    _check_pair(L, M, k)
+    a, b = milnor_table(L, k), milnor_table(M, k)
+    I = a.first_difference(b)
+    if I is None:
+        return None
+    return I, a.entries.get(I, 0), b.entries.get(I, 0)
+
+
 def k_equal_witness(L: StringLinkCode, M: StringLinkCode, k: int) -> tuple[int, ...] | None:
     """An index I with r(I) <= k where the tables differ, or None."""
-    _check_pair(L, M, k)
-    return milnor_table(L, k).first_difference(milnor_table(M, k))
+    diff = table_difference(L, M, k)
+    return None if diff is None else diff[0]
 
 
 # -- k-reduced free actions --------------------------------------------------------

@@ -11,10 +11,14 @@ the chosen ideal kills.
 The policies that matter downstream:
 
 * caps (k+1,...,k+1): decides membership in the subgroup generated by the
-  (k+1)-fold lower-central pieces of the meridian normal closures,
+  (k+1)-fold lower-central pieces of the meridian normal closures; with
+  the total degree also capped below n*k it holds every coefficient a
+  Milnor table reads,
 * caps with k at slot i and k+1 elsewhere: the per-component refinement used
   to compare longitudes component by component,
-* plain total degree q: used for degree bookkeeping and Milnor tables.
+* caps of one more than each multiplicity in a monomial: the smallest
+  quotient holding that one coefficient,
+* plain total degree q: used for degree bookkeeping.
 
 Coefficients are exact integers of unbounded magnitude.  The fast path keeps
 them in an int64 numpy vector indexed by the policy's monomial list; every

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from weldmag import invariants
 from weldmag.cli import main
 
 SINGLE = "1: U1+ / 2: O1+"
@@ -74,11 +75,35 @@ def test_compare_verdicts_and_witness(capsys):
 
 def test_compare_modes_agree(capsys):
     trivial = "1: / 2: / 3:"
+    distinct = set()
     for mode in ("table", "longitude", "action"):
         rc, out, _ = run(capsys, "compare", COMM223, trivial, "--k", "1", "--mode", mode)
         assert rc == 0 and out == "equal\n"
         rc, out, _ = run(capsys, "compare", COMM223, trivial, "--k", "2", "--mode", mode)
         assert rc == 1 and out.splitlines()[0] == "distinct"
+        distinct.add(out)
+    assert distinct == {"distinct\nwitness: mu(2,2,3,1) = 1 vs 0\n"}
+
+
+def test_compare_table_mode_runs_one_longitude_pass_per_link(capsys, monkeypatch):
+    passes = []
+    original = invariants.longitude_series
+
+    def counted(code, **kwargs):
+        passes.append(code)
+        return original(code, **kwargs)
+
+    monkeypatch.setattr(invariants, "longitude_series", counted)
+    rc, out, _ = run(capsys, "compare", COMM223, "1: / 2: / 3:", "--k", "2")
+    assert rc == 1 and out.startswith("distinct\nwitness:")
+    assert len(passes) == 2
+
+
+def test_degree_flag_is_gone(capsys):
+    for command in ("milnor", "table"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, SINGLE, "--degree", "4"])
+        assert exc.value.code == 2
 
 
 def test_action_text_and_json(capsys):

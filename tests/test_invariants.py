@@ -5,7 +5,15 @@ import pytest
 
 import _oracle as oracle
 from weldmag.arrows import insert_self_tree, leaf, node, realize_sorted, sorted_presentation, surgery
-from weldmag.gauss import closure, parse, serialize, stack
+from weldmag.gauss import (
+    applicable_sites,
+    apply_move,
+    closure,
+    longitude_series,
+    parse,
+    serialize,
+    stack,
+)
 from weldmag.invariants import (
     InvariantError,
     KReducedAction,
@@ -94,14 +102,74 @@ def test_table_filters_and_ordering():
         assert lens == sorted(lens)
 
 
-def test_table_max_len_and_degree_do_not_change_entries():
+def test_table_max_len_does_not_change_entries():
     code = comm223()
     t = milnor_table(code, 2)
-    capped = milnor_table(code, 2, max_len=3)
-    assert capped.entries == {I: v for I, v in t.entries.items() if len(I) <= 3}
-    assert milnor_table(code, 1, degree=4).entries == milnor_table(code, 1).entries
+    for max_len in (2, 3, 5):
+        capped = milnor_table(code, 2, max_len=max_len)
+        assert capped.max_len == max_len
+        assert capped.entries == {I: v for I, v in t.entries.items() if len(I) <= max_len}
     with pytest.raises(InvariantError):
         milnor_table(code, 0)
+
+
+def moved_or_kinked(rng, code, style):
+    """The code for style "sorted"; after an R2insert, an R1insert and an
+    OCswap at random sites for "moved"; for "kinked", with a kink of order
+    UO at the top end of a component, whose under passage has its own arc
+    as over-arc and keeps the longitude iteration going to the degree
+    bound."""
+    if style == "moved":
+        for kind in ("R2insert", "R1insert", "OCswap"):
+            code = apply_move(code, kind, rng.choice(applicable_sites(code, kind)))
+    elif style == "kinked":
+        i = rng.randint(1, code.n)
+        top = len(code.components[i - 1])
+        code = apply_move(code, "R1insert", (i, top, rng.choice((1, -1)), "UO"))
+    return code
+
+
+def total_degree_table(code, k, cap):
+    """The table read the direct way: total-degree longitudes through
+    degree cap - 1, then every index tuple up to length cap with r(I) <= k."""
+    n = code.n
+    lam = longitude_series(code, q=cap - 1)
+    entries = {}
+    for length in range(2, cap + 1):
+        for I in itertools.product(range(1, n + 1), repeat=length):
+            if r_index(I) <= k:
+                v = lam[I[-1] - 1].coefficient(I[:-1])
+                if v:
+                    entries[I] = v
+    return entries
+
+
+# Largest total degree whose quotient stays small enough for the direct route.
+DIRECT_DEGREE = {2: 5, 3: 6, 4: 5}
+
+
+def test_table_and_milnor_match_total_degree_read_out():
+    rng = random.Random(59)
+    for n, k in itertools.product((2, 3, 4), (1, 2, 3)):
+        for style in ("sorted", "moved", "kinked"):
+            code = moved_or_kinked(rng, random_realized(rng, n, 5), style)
+            top = min(n * k, DIRECT_DEGREE[n] + 1)
+            max_len = rng.randint(2, top)
+            if max_len == n * k and rng.random() < 0.5:
+                max_len = None
+            cap = n * k if max_len is None else max_len
+            t = milnor_table(code, k, max_len)
+            assert t.max_len == cap
+            assert t.entries == total_degree_table(code, k, cap), (n, k, style, max_len)
+
+            for _ in range(4):
+                I = tuple(rng.randint(1, n) for _ in range(rng.randint(1, DIRECT_DEGREE[n] + 1)))
+                want = 0
+                if len(I) > 1:
+                    want = longitude_series(code, q=len(I) - 1)[I[-1] - 1].coefficient(I[:-1])
+                assert milnor(code, I) == want, (n, I)
+            I = (1,) * (k + 1) + (2,)  # r(I) = k + 1: outside every table
+            assert milnor(code, I) == longitude_series(code, q=k + 1)[1].coefficient(I[:-1])
 
 
 def test_k_equal_modes_on_named_pairs():
