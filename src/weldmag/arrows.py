@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gauss import Passage, StringLinkCode
-from .words import Word, commutator, conjugate, invert, multiply, parse_word
+from .words import Word, commutator, conjugate, format_word, invert, multiply, parse_word
 
 __all__ = [
     "ArrowError",
@@ -304,8 +304,6 @@ def parse_realizer(text: str) -> tuple[Word, ...]:
 
 
 def serialize_realizer(words: Sequence[Word]) -> str:
-    from .words import format_word
-
     lines = []
     for i, w in enumerate(words, start=1):
         lines.append(f"{i}: {format_word(w) if len(w) else '-'}")

@@ -30,19 +30,17 @@ class RunConfig:
     k: int = 1
     max_len: int | None = None
     json_out: bool = False
-    paths: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
     @classmethod
-    def from_args(cls, args: argparse.Namespace, paths: tuple[str, ...] = ()) -> "RunConfig":
+    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         return cls(
             k=getattr(args, "k", 1),
             max_len=getattr(args, "max_len", None),
             json_out=getattr(args, "json", False),
-            paths=paths,
         )
 
 
@@ -61,6 +59,11 @@ def _emit(text: str, out_path: str | None) -> None:
         print(text)
 
 
+def _print_json(obj: dict, out_path: str | None = None) -> None:
+    """Emit one JSON object with the schema marker and sorted keys."""
+    _emit(json.dumps({"schema": 1, **obj}, sort_keys=True), out_path)
+
+
 def _series_pairs(s: magnus.TruncatedSeries) -> list[list]:
     return [[magnus.format_monomial(m), int(c)] for m, c in s.items()]
 
@@ -76,13 +79,13 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _cmd_milnor(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.code,))
+    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
     if args.index:
         I = _parse_index(args.index)
         value = invariants.milnor(code, I)
         if cfg.json_out:
-            print(json.dumps({"schema": 1, "I": list(I), "mu": value}, sort_keys=True))
+            _print_json({"I": list(I), "mu": value})
         else:
             print(f"mu({','.join(map(str, I))}) = {value}")
         return 0
@@ -92,8 +95,7 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
 def _print_table(code: gauss.StringLinkCode, cfg: RunConfig) -> int:
     table = invariants.milnor_table(code, cfg.k, cfg.max_len)
     if cfg.json_out:
-        print(json.dumps({"schema": 1, "k": table.k, "max_len": table.max_len,
-                          "entries": table.to_json_obj()}, sort_keys=True))
+        _print_json({"k": table.k, "max_len": table.max_len, "entries": table.to_json_obj()})
     else:
         for line in table.format_lines():
             print(line)
@@ -101,12 +103,12 @@ def _print_table(code: gauss.StringLinkCode, cfg: RunConfig) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.code,))
+    cfg = RunConfig.from_args(args)
     return _print_table(gauss.parse(_read_source(args.code)), cfg)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.left, args.right))
+    cfg = RunConfig.from_args(args)
     a = gauss.parse(_read_source(args.left))
     b = gauss.parse(_read_source(args.right))
     # table mode reads its verdict off the witness; the other modes decide
@@ -118,12 +120,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         equal = invariants.k_equal(a, b, cfg.k, mode=args.mode)
         diff = None if equal else invariants.table_difference(a, b, cfg.k)
     if cfg.json_out:
-        obj = {"schema": 1, "k": cfg.k, "mode": args.mode,
-               "result": "equal" if equal else "distinct"}
+        obj = {"k": cfg.k, "mode": args.mode, "result": "equal" if equal else "distinct"}
         if diff is not None:
             I, va, vb = diff
             obj["witness"] = {"I": list(I), "left": va, "right": vb}
-        print(json.dumps(obj, sort_keys=True))
+        _print_json(obj)
     else:
         print("equal" if equal else "distinct")
         if diff is not None:
@@ -133,12 +134,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_action(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.code,))
+    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
     phi = invariants.action(code, cfg.k)
     if cfg.json_out:
-        obj = {
-            "schema": 1,
+        _print_json({
             "rank": phi.rank,
             "k": phi.k,
             "conjugators": [
@@ -149,8 +149,7 @@ def _cmd_action(args: argparse.Namespace) -> int:
                 {"component": i, "series": _series_pairs(s)}
                 for i, s in enumerate(phi.images, start=1)
             ],
-        }
-        print(json.dumps(obj, sort_keys=True))
+        })
     else:
         print(f"action rank={phi.rank} k={phi.k}")
         for i, r in enumerate(phi.residues, start=1):
@@ -161,14 +160,13 @@ def _cmd_action(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.words,))
+    cfg = RunConfig.from_args(args)
     ws = arrows.parse_realizer(_read_source(args.words))
     code = arrows.realize_sorted(ws)
     if cfg.json_out:
-        print(json.dumps({"schema": 1, "code": gauss.serialize(code).splitlines()},
-                         sort_keys=True))
-        return 0
-    _emit(gauss.serialize(code), args.output)
+        _print_json({"code": gauss.serialize(code).splitlines()}, args.output)
+    else:
+        _emit(gauss.serialize(code), args.output)
     return 0
 
 
@@ -179,8 +177,8 @@ def _cmd_hall(args: argparse.Namespace) -> int:
     basis = hall.generate_basic(args.rank, args.max_len)
     if args.factor is None:
         if cfg.json_out:
-            print(json.dumps({"schema": 1, "rank": args.rank, "max_len": args.max_len,
-                              "basis": [c.bracket() for c in basis]}, sort_keys=True))
+            _print_json({"rank": args.rank, "max_len": args.max_len,
+                         "basis": [c.bracket() for c in basis]})
         else:
             for c in basis:
                 print(c.bracket())
@@ -188,11 +186,9 @@ def _cmd_hall(args: argparse.Namespace) -> int:
     w = words.parse_word(args.factor, args.rank)
     exps, certified = hall.hall_factorize(w, args.max_len)
     if cfg.json_out:
-        obj = {"schema": 1, "rank": args.rank, "max_len": args.max_len,
-               "certified": certified,
-               "factors": [{"bracket": c.bracket(), "exp": e}
-                           for c, e in zip(basis, exps) if e]}
-        print(json.dumps(obj, sort_keys=True))
+        _print_json({"rank": args.rank, "max_len": args.max_len, "certified": certified,
+                     "factors": [{"bracket": c.bracket(), "exp": e}
+                                 for c, e in zip(basis, exps) if e]})
     else:
         for c, e in zip(basis, exps):
             if e:
@@ -202,13 +198,12 @@ def _cmd_hall(args: argparse.Namespace) -> int:
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.code,))
+    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
     sites = gauss.applicable_sites(code, args.kind)
     if args.apply is None:
         if cfg.json_out:
-            print(json.dumps({"schema": 1, "kind": args.kind,
-                              "sites": [list(s) for s in sites]}, sort_keys=True))
+            _print_json({"kind": args.kind, "sites": [list(s) for s in sites]})
         else:
             for idx, s in enumerate(sites):
                 print(f"{idx}: {s}")
@@ -217,24 +212,22 @@ def _cmd_moves(args: argparse.Namespace) -> int:
         raise ValueError(f"site number {args.apply} out of range 0..{len(sites) - 1}")
     moved = gauss.apply_move(code, args.kind, sites[args.apply])
     if cfg.json_out:
-        print(json.dumps({"schema": 1, "kind": args.kind, "site": list(sites[args.apply]),
-                          "code": gauss.serialize(moved).splitlines()}, sort_keys=True))
-        return 0
-    _emit(gauss.serialize(moved), args.output)
+        _print_json({"kind": args.kind, "site": list(sites[args.apply]),
+                     "code": gauss.serialize(moved).splitlines()}, args.output)
+    else:
+        _emit(gauss.serialize(moved), args.output)
     return 0
 
 
 def _cmd_link_vanishing(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, paths=(args.code,))
+    cfg = RunConfig.from_args(args)
     link = gauss.parse(_read_source(args.code), closed=True)
     basepoints = None
     if args.basepoints:
         basepoints = [int(t) for t in args.basepoints.split(",")]
     vanishing = invariants.link_vanishing(link, cfg.k, basepoints)
     if cfg.json_out:
-        print(json.dumps({"schema": 1, "k": cfg.k,
-                          "result": "vanishing" if vanishing else "non-vanishing"},
-                         sort_keys=True))
+        _print_json({"k": cfg.k, "result": "vanishing" if vanishing else "non-vanishing"})
     else:
         print("vanishing" if vanishing else "non-vanishing")
     return 0 if vanishing else 1

@@ -25,8 +25,8 @@ From a code the module derives:
 * the preferred longitudes: the word b_{i,1} b_{i,2} ... of conjugating
   generators met along component i, normalized by the self-writhe prefix
   meridian^{-f_i}, evaluated in the truncated series ring by an iteration
-  that rewrites arcs into meridians one degree at a time and certifies its
-  own stabilization;
+  that reads the relations of that Wirtinger presentation, rewrites arcs
+  into meridians one degree at a time and certifies its own stabilization;
 * the diagram moves R1, R2 and OC used by the invariance test suite, the
   stacking product, and cutting closed links open at chosen basepoints.
 """
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .magnus import (
     TruncationPolicy,
@@ -43,7 +43,6 @@ from .magnus import (
     expand,
     series_inverse,
     series_mul,
-    series_one,
 )
 from .words import Word
 
@@ -209,56 +208,29 @@ class WirtingerPresentation:
     relations: tuple[WirtingerRelation, ...]
 
 
-def _over_positions(code: StringLinkCode) -> dict[int, tuple[int, int]]:
-    out: dict[int, tuple[int, int]] = {}
-    for i, comp in enumerate(code.components, start=1):
-        for pos, p in enumerate(comp):
-            if p.role == "O":
-                out[p.cid] = (i, pos)
-    return out
-
-
-def _arc_of_position(code: StringLinkCode) -> list[list[int]]:
-    """arc[i-1][pos] = 1-based arc index containing position pos of component i."""
-    arcs = []
-    for comp in code.components:
-        unders = 0
-        row = []
-        for p in comp:
-            row.append(unders + 1)
-            if p.role == "U":
-                unders += 1
-        arcs.append(row)
-    return arcs
-
-
-def _relations_by_component(code: StringLinkCode) -> list[list[tuple[int, int, int]]]:
-    """Per component: list of (over component, over arc index, sign), one per
-    Under passage in order."""
-    over_pos = _over_positions(code)
-    arc_at = _arc_of_position(code)
-    rels: list[list[tuple[int, int, int]]] = []
-    for comp in code.components:
-        row = []
-        for p in comp:
-            if p.role == "U":
-                pc, ppos = over_pos[p.cid]
-                row.append((pc, arc_at[pc - 1][ppos], p.sign))
-        rels.append(row)
-    return rels
-
-
 def wirtinger(code: StringLinkCode) -> WirtingerPresentation:
-    """The Wirtinger presentation read off the code."""
-    rels = _relations_by_component(code)
+    """The Wirtinger presentation read off the code.
+
+    Arc j of a component starts after its (j-1)-th Under passage, so an Over
+    passage lies on the arc numbered one more than the Under passages before
+    it.
+    """
+    over_arc: dict[int, tuple[int, int]] = {}
+    arc_counts = []
+    for i, comp in enumerate(code.components, start=1):
+        arc = 1
+        for p in comp:
+            if p.role == "O":
+                over_arc[p.cid] = (i, arc)
+            else:
+                arc += 1
+        arc_counts.append(arc)
     relations = []
-    for i, row in enumerate(rels, start=1):
-        for j, (pc, parc, sign) in enumerate(row, start=1):
-            relations.append(WirtingerRelation(i, j, (pc, parc), sign))
-    return WirtingerPresentation(
-        arc_counts=tuple(len(row) + 1 for row in rels),
-        relations=tuple(relations),
-    )
+    for i, comp in enumerate(code.components, start=1):
+        unders = [p for p in comp if p.role == "U"]
+        for j, p in enumerate(unders, start=1):
+            relations.append(WirtingerRelation(i, j, over_arc[p.cid], p.sign))
+    return WirtingerPresentation(tuple(arc_counts), tuple(relations))
 
 
 def self_writhe(code: StringLinkCode | LinkCode, i: int) -> int:
@@ -303,31 +275,31 @@ def longitude_series(
         raise GaussCodeError(f"policy rank {policy.rank} does not match {n} components")
 
     qeff = policy.max_total_degree
-    rels = _relations_by_component(code)
+    pres = wirtinger(code)
     meridians = [expand(Word(n, ((i, 1),)), policy) for i in range(1, n + 1)]
 
-    arcs: dict[tuple[int, int], TruncatedSeries] = {}
-    for i in range(1, n + 1):
-        for j in range(len(rels[i - 1]) + 1):
-            arcs[(i, j)] = meridians[i - 1]
+    # arcs are keyed by the presentation's 1-based (component, arc) pairs
+    arcs: dict[tuple[int, int], TruncatedSeries] = {
+        (i, j): meridians[i - 1]
+        for i, count in enumerate(pres.arc_counts, start=1)
+        for j in range(1, count + 1)
+    }
 
-    def factors(table, p, arc_1based, sign, inv_cache):
-        over = table[(p, arc_1based - 1)]
-        key = (p, arc_1based - 1)
-        if key not in inv_cache:
-            inv_cache[key] = series_inverse(over)
-        inv = inv_cache[key]
-        return (over, inv) if sign > 0 else (inv, over)
+    def factors(table, rel, inv_cache):
+        over = table[rel.over]
+        if rel.over not in inv_cache:
+            inv_cache[rel.over] = series_inverse(over)
+        inv = inv_cache[rel.over]
+        return (over, inv) if rel.sign > 0 else (inv, over)
 
     converged = False
     for t in range(1, qeff + 2):
         inv_cache: dict[tuple[int, int], TruncatedSeries] = {}
-        new: dict[tuple[int, int], TruncatedSeries] = {}
-        for i in range(1, n + 1):
-            new[(i, 0)] = meridians[i - 1]
-            for j, (pc, parc, sign) in enumerate(rels[i - 1]):
-                b, inv_b = factors(arcs, pc, parc, sign, inv_cache)
-                new[(i, j + 1)] = series_mul(series_mul(inv_b, new[(i, j)]), b)
+        new = {(i, 1): meridians[i - 1] for i in range(1, n + 1)}
+        for rel in pres.relations:
+            b, inv_b = factors(arcs, rel, inv_cache)
+            i, j = rel.component, rel.under_index
+            new[(i, j + 1)] = series_mul(series_mul(inv_b, new[(i, j)]), b)
         for key, old_series in arcs.items():
             if not new[key].agrees_through_degree(old_series, min(t - 1, qeff)):
                 raise StabilizationError(
@@ -341,14 +313,13 @@ def longitude_series(
         raise StabilizationError(f"no fixed point within {qeff + 1} iterations")
 
     out = []
-    inv_cache = {}
     for i in range(1, n + 1):
         f_i = self_writhe(code, i)
-        lam = expand(Word(n, ((i, -f_i),) if f_i else ()), policy)
-        for pc, parc, sign in rels[i - 1]:
-            b, _ = factors(arcs, pc, parc, sign, inv_cache)
-            lam = series_mul(lam, b)
-        out.append(lam)
+        out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
+    inv_cache = {}
+    for rel in pres.relations:
+        b, _ = factors(arcs, rel, inv_cache)
+        out[rel.component - 1] = series_mul(out[rel.component - 1], b)
     return tuple(out)
 
 

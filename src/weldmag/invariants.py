@@ -14,17 +14,20 @@ by independent computations:
 * action: the induced conjugating substitutions agree on every generator in
   the quotient capping all occurrences at k.
 
-The action of a string link is stored as a KReducedAction: one conjugator
-series per component in the all-caps-k quotient, its canonical residue in
-the per-component quotient (the equality test), and the derived generator
-images.  Actions compose like stacked string links and invert by a
+The action of a string link is stored as a KReducedAction holding only one
+conjugator series per component in the all-caps-k quotient, since the
+action sends each meridian to a conjugate of itself.  Each conjugator's
+canonical residue in the per-component quotient (the equality test) and
+the generator images are derived from the conjugators on first read.
+Actions compose like stacked string links and invert by a
 successive-approximation solve that certifies itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 from .gauss import LinkCode, StringLinkCode, cut, longitude_series
 from .magnus import (
@@ -223,16 +226,16 @@ class KReducedAction:
     """Conjugating substitution alpha_i -> conjugate by c_i, truncated with
     every variable capped at k occurrences.
 
-    conjugators: series of the c_i in the all-caps policy; residues: their
-    canonical forms with X_i additionally capped at k - 1 occurrences (the
-    congruence test); images: series of the conjugated generators.
+    Only the conjugators are stored: the series of the c_i in the all-caps
+    policy.  Two values follow from them and are derived on first read:
+    residues, their canonical forms with X_i additionally capped at k - 1
+    occurrences (the congruence test), and images, the series of the
+    conjugated generators.
     """
 
     k: int
     rank: int
     conjugators: tuple[TruncatedSeries, ...]
-    residues: tuple[TruncatedSeries, ...]
-    images: tuple[TruncatedSeries, ...]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KReducedAction):
@@ -247,25 +250,24 @@ class KReducedAction:
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy.uniform_caps(self.rank, self.k)
 
+    @cached_property
+    def residues(self) -> tuple[TruncatedSeries, ...]:
+        return tuple(
+            retruncate(c, TruncationPolicy.component_caps(self.rank, self.k, i))
+            for i, c in enumerate(self.conjugators, start=1)
+        )
 
-def _action_from_conjugators(
-    k: int, n: int, conjugators: Sequence[TruncatedSeries]
-) -> KReducedAction:
-    pol = TruncationPolicy.uniform_caps(n, k)
-    residues = tuple(
-        retruncate(c, TruncationPolicy.component_caps(n, k, i))
-        for i, c in enumerate(conjugators, start=1)
-    )
-    images = tuple(
-        series_mul(series_mul(series_inverse(c), one_plus_x(pol, i)), c)
-        for i, c in enumerate(conjugators, start=1)
-    )
-    return KReducedAction(k, n, tuple(conjugators), residues, images)
+    @cached_property
+    def images(self) -> tuple[TruncatedSeries, ...]:
+        return tuple(
+            series_mul(series_mul(series_inverse(c), one_plus_x(self.policy, i)), c)
+            for i, c in enumerate(self.conjugators, start=1)
+        )
 
 
 def identity_action(n: int, k: int) -> KReducedAction:
     pol = TruncationPolicy.uniform_caps(n, k)
-    return _action_from_conjugators(k, n, [series_one(pol)] * n)
+    return KReducedAction(k, n, (series_one(pol),) * n)
 
 
 def action(L: StringLinkCode, k: int) -> KReducedAction:
@@ -274,7 +276,7 @@ def action(L: StringLinkCode, k: int) -> KReducedAction:
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
     pol = TruncationPolicy.uniform_caps(L.n, k)
-    return _action_from_conjugators(k, L.n, longitude_series(L, policy=pol))
+    return KReducedAction(k, L.n, longitude_series(L, policy=pol))
 
 
 def action_apply(phi: KReducedAction, w: Word) -> TruncatedSeries:
@@ -302,17 +304,11 @@ def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:
     the top part rewritten through the bottom.
     """
     _check_same_params(phi, psi)
-    conj = [
+    conj = tuple(
         series_mul(c_phi, substitute_conjugates(c_psi, phi.conjugators))
         for c_phi, c_psi in zip(phi.conjugators, psi.conjugators)
-    ]
-    return _action_from_conjugators(phi.k, phi.rank, conj)
-
-
-def _sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    from .magnus import _add, _neg
-
-    return _add(a, _neg(b))
+    )
+    return KReducedAction(phi.k, phi.rank, conj)
 
 
 def action_invert(phi: KReducedAction) -> KReducedAction:
@@ -327,14 +323,14 @@ def action_invert(phi: KReducedAction) -> KReducedAction:
         m = target
         for _ in range(pol.max_total_degree + 1):
             # m <- target - (phi(m) - m); the correction degree rises each round
-            new = _sub(target, _sub(substitute_conjugates(m, phi.conjugators), m))
+            new = target - (substitute_conjugates(m, phi.conjugators) - m)
             if new == m:
                 break
             m = new
         else:
             raise InversionError("fixed point not reached within the degree bound")
         conj.append(m)
-    psi = _action_from_conjugators(k, n, conj)
+    psi = KReducedAction(k, n, tuple(conj))
     ident = identity_action(n, k)
     for composite in (action_compose(phi, psi), action_compose(psi, phi)):
         if composite != ident or composite.images != ident.images:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -315,6 +315,25 @@ class TruncatedSeries:
 
     __hash__ = None  # type: ignore[assignment]
 
+    # -- arithmetic; the one product is series_mul ---------------------------
+
+    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        _check_policies(self, other)
+        sv, ov = self._vec, other._vec
+        if self._bound + other._bound >= _INT64_SAFE or sv.dtype == object or ov.dtype == object:
+            sv, ov = _to_object(sv), _to_object(ov)
+        return TruncatedSeries(self.policy, sv + ov)
+
+    def __neg__(self) -> "TruncatedSeries":
+        return TruncatedSeries(self.policy, -self._vec, self._bound)
+
+    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return self + -other
+
     def __repr__(self) -> str:
         terms = list(self.items())
         head = ", ".join(f"{format_monomial(m)}:{c}" for m, c in terms[:4])
@@ -373,15 +392,6 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(s.policy, out, min(est, _fresh_bound(out)))
 
 
-def _add(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
-    _check_policies(s, t)
-    est = s._bound + t._bound
-    sv, tv = s._vec, t._vec
-    if est >= _INT64_SAFE or sv.dtype == object or tv.dtype == object:
-        sv, tv = _to_object(sv), _to_object(tv)
-    return TruncatedSeries(s.policy, sv + tv)
-
-
 def _scale(s: TruncatedSeries, c: int) -> TruncatedSeries:
     if c == 0:
         return TruncatedSeries(s.policy, TruncatedSeries._zeros(s.policy), 1.0)
@@ -392,10 +402,6 @@ def _scale(s: TruncatedSeries, c: int) -> TruncatedSeries:
     return TruncatedSeries(s.policy, vec * c)
 
 
-def _neg(s: TruncatedSeries) -> TruncatedSeries:
-    return TruncatedSeries(s.policy, -s._vec, s._bound)
-
-
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Two-sided inverse; the constant term must be +1 or -1.
 
@@ -404,18 +410,18 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """
     c0 = s.constant()
     if c0 == -1:
-        return _neg(series_inverse(_neg(s)))
+        return -series_inverse(-s)
     if c0 != 1:
         raise MagnusError(f"series with constant term {c0} is not invertible here")
     policy = s.policy
-    u = _add(series_one(policy), _neg(s))  # u = 1 - s, zero constant term
+    u = series_one(policy) - s  # zero constant term
     inv = series_one(policy)
     pw = series_one(policy)
     for _ in range(policy.max_total_degree):
         pw = series_mul(pw, u)
         if pw.is_zero:
             break
-        inv = _add(inv, pw)
+        inv = inv + pw
     return inv
 
 
@@ -608,7 +614,7 @@ def substitute_conjugates(s: TruncatedSeries, conjugators: Sequence[TruncatedSer
     for i in nonzero:
         if i == 0:
             continue
-        out = _add(out, _scale(mono_image[i], int(s._vec[i]) if s._vec.dtype != object else s._vec[i]))
+        out = out + _scale(mono_image[i], int(s._vec[i]) if s._vec.dtype != object else s._vec[i])
     return out
 
 

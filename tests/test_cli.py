@@ -137,6 +137,13 @@ def test_realize_inline_and_file(capsys, tmp_path):
     assert json.loads(out) == {"schema": 1, "code": ["1: U1+", "2: O1+"]}
 
 
+def test_realize_json_goes_to_output_file(capsys, tmp_path):
+    dst = tmp_path / "code.json"
+    rc, out, _ = run(capsys, "realize", "1: a2 / 2: -", "--json", "-o", str(dst))
+    assert rc == 0 and out == ""
+    assert json.loads(dst.read_text()) == {"schema": 1, "code": ["1: U1+", "2: O1+"]}
+
+
 def test_hall_basis_and_factor(capsys):
     rc, out, _ = run(capsys, "hall", "--rank", "2", "--max-len", "3")
     assert rc == 0
@@ -174,6 +181,18 @@ def test_moves_list_and_apply(capsys, tmp_path):
 
     rc, out, _ = run(capsys, "moves", COMM23, "--kind", "R1delete", "--json")
     assert json.loads(out) == {"schema": 1, "kind": "R1delete", "sites": []}
+
+
+def test_moves_apply_json_goes_to_output_file(capsys, tmp_path):
+    dst = tmp_path / "moved.json"
+    argv = ("moves", COMM23, "--kind", "OCswap", "--apply", "0", "--json")
+    rc, out, _ = run(capsys, *argv, "-o", str(dst))
+    assert rc == 0 and out == ""
+    obj = json.loads(dst.read_text())
+    assert obj["kind"] == "OCswap" and obj["site"] == [2, 0]
+    assert obj["code"][1] == "2: O3- O1+"
+    rc, out, _ = run(capsys, *argv)
+    assert json.loads(out) == obj
 
 
 def test_link_vanishing_exit_codes(capsys):

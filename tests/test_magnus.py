@@ -133,6 +133,21 @@ def test_series_mul_matches_naive():
         assert got == want
 
 
+def test_series_add_sub_neg_match_naive():
+    rng = random.Random(15)
+    for _ in range(80):
+        rank = rng.randint(1, 3)
+        if rng.random() < 0.5:
+            pol = TruncationPolicy.total_degree(rank, rng.randint(1, 4))
+        else:
+            pol = TruncationPolicy.with_caps(rank, tuple(rng.randint(1, 3) for _ in range(rank)))
+        a, da = rand_series(rng, pol)
+        b, db = rand_series(rng, pol)
+        assert as_dict(a + b) == oracle.add(da, db)
+        assert as_dict(a - b) == oracle.add(da, oracle.neg(db))
+        assert as_dict(-a) == oracle.neg(da)
+
+
 def test_series_inverse_and_pow():
     rng = random.Random(6)
     pol = TruncationPolicy.total_degree(2, 4)
@@ -273,6 +288,15 @@ def test_big_coefficients_promote_beyond_int64():
     assert series_mul(inv, s).is_one
     neg = expand(Wpow(-m), pol)
     assert series_mul(neg, s).is_one
+    for d in range(5):
+        assert coefficient(s + s, (1,) * d) == 2 * math.comb(m, d)
+        assert coefficient(s - neg, (1,) * d) == math.comb(m, d) - coefficient(neg, (1,) * d)
+        assert coefficient(-s, (1,) * d) == -math.comb(m, d)
+    assert (s - s).is_zero
+    c = 2 ** 62 - 1  # an int64 coefficient whose triple is not
+    small = series_from_terms(pol, {(): c})
+    assert coefficient(small + small + small, ()) == 3 * c
+    assert coefficient(small - -small - -small, ()) == 3 * c
 
 
 def Wpow(m):
