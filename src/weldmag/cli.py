@@ -65,7 +65,7 @@ def _print_json(obj: dict, out_path: str | None = None) -> None:
 
 
 def _series_pairs(s: magnus.TruncatedSeries) -> list[list]:
-    return [[magnus.format_monomial(m), int(c)] for m, c in s.items()]
+    return [[label, c] for label, c in s.labelled_items()]
 
 
 def _parse_index(text: str) -> tuple[int, ...]:

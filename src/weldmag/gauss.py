@@ -318,7 +318,8 @@ def longitude_series(
         out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
     inv_cache = {}
     for rel in pres.relations:
-        b, _ = factors(arcs, rel, inv_cache)
+        # only negative crossings use an inverse here
+        b = arcs[rel.over] if rel.sign > 0 else factors(arcs, rel, inv_cache)[0]
         out[rel.component - 1] = series_mul(out[rel.component - 1], b)
     return tuple(out)
 

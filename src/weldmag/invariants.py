@@ -18,9 +18,14 @@ The action of a string link is stored as a KReducedAction holding only one
 conjugator series per component in the all-caps-k quotient, since the
 action sends each meridian to a conjugate of itself.  Each conjugator's
 canonical residue in the per-component quotient (the equality test) and
-the generator images are derived from the conjugators on first read.
-Actions compose like stacked string links and invert by a
-successive-approximation solve that certifies itself.
+the generator images are derived from the conjugators on first read; the
+image of a_i = 1 + X_i is 1 plus the variable image c_i^{-1} X_i c_i that
+magnus.Substitution forms.  Actions compose like stacked string links and
+invert by a successive-approximation solve that certifies itself.  Both
+build phi's substitution once per call: composition applies it to each of
+psi's conjugators, inversion to every round for every conjugator and then
+to the certifying composition phi then psi.  The substitution is not kept
+on the action, so a stored action holds only its conjugators.
 """
 
 from __future__ import annotations
@@ -31,16 +36,15 @@ from typing import Sequence
 
 from .gauss import LinkCode, StringLinkCode, cut, longitude_series
 from .magnus import (
+    Substitution,
     TruncatedSeries,
     TruncationPolicy,
     coefficient,
-    one_plus_x,
     retruncate,
     series_inverse,
     series_mul,
     series_one,
     series_pow,
-    substitute_conjugates,
 )
 from .words import Word
 
@@ -259,10 +263,9 @@ class KReducedAction:
 
     @cached_property
     def images(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(
-            series_mul(series_mul(series_inverse(c), one_plus_x(self.policy, i)), c)
-            for i, c in enumerate(self.conjugators, start=1)
-        )
+        # a_i = 1 + X_i goes to 1 + c_i^(-1) X_i c_i, the variable image
+        one = series_one(self.policy)
+        return tuple(one + x for x in Substitution(self.conjugators).variable_images)
 
 
 def identity_action(n: int, k: int) -> KReducedAction:
@@ -304,9 +307,13 @@ def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:
     the top part rewritten through the bottom.
     """
     _check_same_params(phi, psi)
+    return _compose(phi, psi, Substitution(phi.conjugators))
+
+
+def _compose(phi: KReducedAction, psi: KReducedAction, sub: Substitution) -> KReducedAction:
+    """action_compose with phi's substitution already built."""
     conj = tuple(
-        series_mul(c_phi, substitute_conjugates(c_psi, phi.conjugators))
-        for c_phi, c_psi in zip(phi.conjugators, psi.conjugators)
+        series_mul(c_phi, sub(c_psi)) for c_phi, c_psi in zip(phi.conjugators, psi.conjugators)
     )
     return KReducedAction(phi.k, phi.rank, conj)
 
@@ -314,16 +321,18 @@ def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:
 def action_invert(phi: KReducedAction) -> KReducedAction:
     """The inverse action, found by solving phi(m_i) = c_i(phi)^(-1) with a
     degree-raising fixed-point iteration, then certified by composing back
-    to the identity on both sides."""
+    to the identity on both sides.  One substitution of phi serves every
+    round for every conjugator and the composition phi then psi."""
     pol = phi.policy
     n, k = phi.rank, phi.k
+    sub = Substitution(phi.conjugators)
     conj = []
     for c in phi.conjugators:
         target = series_inverse(c)
         m = target
         for _ in range(pol.max_total_degree + 1):
             # m <- target - (phi(m) - m); the correction degree rises each round
-            new = target - (substitute_conjugates(m, phi.conjugators) - m)
+            new = target - (sub(m) - m)
             if new == m:
                 break
             m = new
@@ -332,7 +341,7 @@ def action_invert(phi: KReducedAction) -> KReducedAction:
         conj.append(m)
     psi = KReducedAction(k, n, tuple(conj))
     ident = identity_action(n, k)
-    for composite in (action_compose(phi, psi), action_compose(psi, phi)):
+    for composite in (_compose(phi, psi, sub), action_compose(psi, phi)):
         if composite != ident or composite.images != ident.images:
             raise InversionError("composing with the computed inverse is not the identity")
     return psi

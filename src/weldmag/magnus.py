@@ -31,6 +31,13 @@ The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
 trivial, degree-truncation permitting, which is what makes every membership
 test in this package a finite exact computation.
+
+The conjugating substitution X_v -> c_v^{-1} X_v c_v that a string link's
+action induces is a :class:`Substitution`, built once per operation from
+its conjugators.  It forms the n variable images on construction and the
+image of each monomial on first use, as its parent's image times one
+variable image, keeps those images sparse, and then applies to any number
+of series by summing scaled monomial images.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ __all__ = [
     "lcs_lower_bound",
     "in_Jr",
     "retruncate",
+    "Substitution",
     "substitute_conjugates",
     "format_monomial",
     "format_series",
@@ -189,6 +197,8 @@ class _PolicySpace:
 
         self._div_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._extensions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._labels: dict[int, str] = {}
 
     def div_rows(self, v: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per degree d >= 1: (indices of monomials ending in X_v, their parents)."""
@@ -204,22 +214,60 @@ class _PolicySpace:
         return rows
 
     def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All concatenation triples (a, b, c) with mono_a * mono_b = mono_c."""
+        """All concatenation triples (a, b, c) with mono_a * mono_b = mono_c,
+        ordered by c and then by the cut position, so C is non-decreasing.
+
+        The prefix of length d - s of a degree-d monomial is reached by s
+        parent steps, its suffix of length d - s by s drop-first-letter steps.
+        """
         if self._splits is None:
-            A: list[int] = []
-            B: list[int] = []
-            C: list[int] = []
-            for c_idx, m in enumerate(self.monos):
-                for cut in range(len(m) + 1):
-                    A.append(self.index[m[:cut]])
-                    B.append(self.index[m[cut:]])
-                    C.append(c_idx)
-            self._splits = (
-                np.array(A, dtype=np.int64),
-                np.array(B, dtype=np.int64),
-                np.array(C, dtype=np.int64),
-            )
+            n = self.policy.rank
+            deg = np.repeat(np.arange(self.max_degree + 1, dtype=np.int64), np.diff(self.deg_start))
+            # drop[i]: index of monomial i without its first letter; built by
+            # degree, since drop(m.v) = drop(m).v
+            child = np.full((self.size, n + 1), -1, dtype=np.int64)
+            for v in range(1, n + 1):
+                child[self.app_src[v], v] = self.app_dst[v]
+            drop = np.zeros(self.size, dtype=np.int64)
+            for d in range(2, self.max_degree + 1):
+                lo, hi = self.deg_start[d], self.deg_start[d + 1]
+                drop[lo:hi] = child[drop[self.parent[lo:hi]], self.last[lo:hi]]
+            C = np.repeat(np.arange(self.size, dtype=np.int64), deg + 1)
+            first = np.cumsum(deg + 1) - (deg + 1)
+            cut = np.arange(len(C), dtype=np.int64) - first[C]
+            A, B = C.copy(), C.copy()
+            back = deg[C] - cut  # parent steps from c to its prefix
+            for s in range(self.max_degree):
+                sel = back > s
+                A[sel] = self.parent[A[sel]]
+                sel = cut > s
+                B[sel] = drop[B[sel]]
+            self._splits = (A, B, C)
         return self._splits
+
+    def extensions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The split triples with a nonempty suffix, grouped by prefix.
+
+        Returns (ptr, B, C): the pairs (b, c) with mono_a * mono_b = mono_c
+        and b nonempty are B[ptr[a]:ptr[a+1]] and C[ptr[a]:ptr[a+1]].  A
+        product whose left factor has few nonzero terms and whose right
+        factor has no constant term needs only the rows of those terms.
+        """
+        if self._extensions is None:
+            A, B, C = self.splits()
+            order = np.flatnonzero(B != 0)
+            order = order[np.argsort(A[order], kind="stable")]
+            ptr = np.zeros(self.size + 1, dtype=np.int64)
+            np.cumsum(np.bincount(A[order], minlength=self.size), out=ptr[1:])
+            self._extensions = (ptr, B[order].astype(np.int32), C[order].astype(np.int32))
+        return self._extensions
+
+    def label(self, i: int) -> str:
+        """format_monomial of monomial i, formatted on first use and kept."""
+        text = self._labels.get(i)
+        if text is None:
+            text = self._labels[i] = format_monomial(self.monos[i])
+        return text
 
 
 @lru_cache(maxsize=None)
@@ -283,6 +331,13 @@ class TruncatedSeries:
         space = _space(self.policy)
         for i in np.flatnonzero(self._vec != 0):
             yield space.monos[int(i)], int(self._vec[int(i)])
+
+    def labelled_items(self) -> Iterator[tuple[str, int]]:
+        """Nonzero (label, coefficient) pairs in items() order, each label
+        the format_monomial string, formatted once per policy."""
+        space = _space(self.policy)
+        for i in np.flatnonzero(self._vec != 0):
+            yield space.label(int(i)), int(self._vec[int(i)])
 
     @property
     def is_one(self) -> bool:
@@ -376,30 +431,34 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product in the quotient ring."""
     _check_policies(s, t)
     space = _space(s.policy)
-    A, B, C = space.splits()
-    est = s._bound * t._bound
-    sv, tv = s._vec, t._vec
+    out, bound = _convolve(s._vec, s._bound, t._vec, t._bound, space.splits(), space.size)
+    return TruncatedSeries(s.policy, out, bound)
+
+
+def _convolve(
+    sv: np.ndarray,
+    s_bound: float,
+    tv: np.ndarray,
+    t_bound: float,
+    splits: tuple[np.ndarray, np.ndarray, np.ndarray],
+    size: int,
+) -> tuple[np.ndarray, float]:
+    """The vector with sv[a] * tv[b] summed into slot c over the triples
+    (a, b, c) of splits, and a bound on its 1-norm; every product in this
+    module is formed here, on int64 while the bound allows."""
+    A, B, C = splits
+    est = s_bound * t_bound
     if est >= _INT64_SAFE or sv.dtype == object or tv.dtype == object:
         sv, tv = _to_object(sv), _to_object(tv)
-        out = np.zeros(space.size, dtype=object)
+        out = np.zeros(size, dtype=object)
         vals = sv[A] * tv[B]
         for c_idx, val in zip(C, vals):
             if val:
                 out[c_idx] += val
-        return TruncatedSeries(s.policy, out)
-    out = np.zeros(space.size, dtype=np.int64)
+        return out, _fresh_bound(out)
+    out = np.zeros(size, dtype=np.int64)
     np.add.at(out, C, sv[A] * tv[B])
-    return TruncatedSeries(s.policy, out, min(est, _fresh_bound(out)))
-
-
-def _scale(s: TruncatedSeries, c: int) -> TruncatedSeries:
-    if c == 0:
-        return TruncatedSeries(s.policy, TruncatedSeries._zeros(s.policy), 1.0)
-    est = s._bound * abs(c)
-    vec = s._vec
-    if est >= _INT64_SAFE or vec.dtype == object:
-        vec = _to_object(vec)
-    return TruncatedSeries(s.policy, vec * c)
+    return out, min(est, _fresh_bound(out))
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -574,48 +633,105 @@ def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSer
     return TruncatedSeries(new_policy, s._vec[mapping])
 
 
-def substitute_conjugates(s: TruncatedSeries, conjugators: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Apply the ring endomorphism X_v -> c_v^{-1} X_v c_v to s.
+def _times_variable(s: TruncatedSeries, v: int) -> TruncatedSeries:
+    """s * X_v: each monomial gains X_v at its end, or drops out."""
+    space = _space(s.policy)
+    out = np.zeros_like(s._vec)
+    out[space.app_dst[v]] = s._vec[space.app_src[v]]
+    return TruncatedSeries(s.policy, out, s._bound)
 
-    Each c_v must be a unit series under the same policy.  The substitution
+
+# a monomial's image under a substitution: (indices, values, 1-norm bound)
+_SparseImage = tuple[np.ndarray, np.ndarray, float]
+
+
+class Substitution:
+    """The ring endomorphism X_v -> c_v^{-1} X_v c_v for fixed conjugators.
+
+    Each c_v must be a unit series, all under one policy.  The substitution
     sends every monomial to a sum of monomials with at least the original
     variable multiplicities, so it descends to all cap quotients; dropped
     monomials stay dropped.
+
+    Build one per operation and apply it to every series that operation
+    substitutes into.  The n variable images c_v^{-1} X_v c_v are formed on
+    construction (one series_inverse and one product each).  The image of a
+    monomial m.v is formed on first use as the image of m times the image of
+    X_v, one product, and kept; applying the substitution to a series sums
+    the scaled images of its monomials.  Monomial images are sparse, so
+    they are kept as (indices, values, 1-norm bound), and the product
+    forming m.v runs only over the extension rows of the image of m's
+    terms (a variable image has no constant term).  Do not keep the object
+    beyond the operation.
     """
-    policy = s.policy
-    if len(conjugators) != policy.rank:
-        raise MagnusError("need one conjugator per variable")
-    for c in conjugators:
-        if c.policy != policy:
-            raise MagnusError("conjugator policy mismatch")
-    space = _space(policy)
 
-    images = {}
-    for v in range(1, policy.rank + 1):
-        xv = series_from_terms(policy, {(v,): 1})
-        images[v] = series_mul(series_mul(series_inverse(conjugators[v - 1]), xv), conjugators[v - 1])
+    def __init__(self, conjugators: Sequence[TruncatedSeries]) -> None:
+        if not conjugators or len(conjugators) != conjugators[0].policy.rank:
+            raise MagnusError("need one conjugator per variable")
+        policy = conjugators[0].policy
+        for c in conjugators:
+            if c.policy != policy:
+                raise MagnusError("conjugator policy mismatch")
+        self.policy = policy
+        self._space = _space(policy)
+        self.variable_images = tuple(
+            series_mul(_times_variable(series_inverse(c), v), c)
+            for v, c in enumerate(conjugators, start=1)
+        )
+        self._images: dict[int, _SparseImage] = {
+            0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 2.0)
+        }
 
-    nonzero = [int(i) for i in np.flatnonzero(s._vec != 0)]
-    needed: set[int] = set()
-    for i in nonzero:
-        j = i
-        while j > 0 and j not in needed:
-            needed.add(j)
-            j = int(space.parent[j])
-    mono_image: dict[int, TruncatedSeries] = {0: series_one(policy)}
-    for i in sorted(needed):
-        p = int(space.parent[i])
-        v = int(space.last[i])
-        mono_image[i] = series_mul(mono_image[p], images[v])
+    def __len__(self) -> int:
+        """Number of monomial images formed so far, the constant included."""
+        return len(self._images)
 
-    out = _scale(series_one(policy), s.constant()) if s.constant() else TruncatedSeries(
-        policy, TruncatedSeries._zeros(policy), 1.0
-    )
-    for i in nonzero:
-        if i == 0:
-            continue
-        out = out + _scale(mono_image[i], int(s._vec[i]) if s._vec.dtype != object else s._vec[i])
-    return out
+    def _image(self, i: int) -> _SparseImage:
+        img = self._images.get(i)
+        if img is None:
+            space = self._space
+            path = []
+            while i not in self._images:
+                path.append(i)
+                i = int(space.parent[i])
+            img = self._images[i]
+            for j in reversed(path):
+                img = self._images[j] = self._extend(img, int(space.last[j]))
+        return img
+
+    def _extend(self, img: _SparseImage, v: int) -> _SparseImage:
+        """The image of a monomial times the image of X_v."""
+        idx, vals, bound = img
+        g = self.variable_images[v - 1]
+        ptr, B, C = self._space.extensions()
+        # the extension rows of every term a of the image, and for each row
+        # the position of its a in idx
+        lo, count = ptr[idx], ptr[idx + 1] - ptr[idx]
+        term = np.repeat(np.arange(len(idx)), count)
+        rows = np.arange(len(term)) + np.repeat(lo - (np.cumsum(count) - count), count)
+        out, out_bound = _convolve(
+            vals, bound, g._vec, g._bound, (term, B[rows], C[rows]), self._space.size
+        )
+        nz = np.flatnonzero(out)
+        return nz, out[nz], out_bound
+
+    def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
+        if s.policy != self.policy:
+            raise MagnusError("policy mismatch between series and substitution")
+        vec = s._vec
+        rows = [(int(vec[i]), self._image(int(i))) for i in np.flatnonzero(vec != 0)]
+        est = sum(abs(c) * bound for c, (_, _, bound) in rows)
+        wide = est >= _INT64_SAFE or any(vals.dtype == object for _, (_, vals, _) in rows)
+        out = np.zeros(self._space.size, dtype=object if wide else np.int64)
+        for c, (idx, vals, _) in rows:
+            out[idx] += c * (_to_object(vals) if wide else vals)
+        return TruncatedSeries(self.policy, out)
+
+
+def substitute_conjugates(s: TruncatedSeries, conjugators: Sequence[TruncatedSeries]) -> TruncatedSeries:
+    """Apply the ring endomorphism X_v -> c_v^{-1} X_v c_v to s once; see
+    :class:`Substitution` for applying one substitution to many series."""
+    return Substitution(conjugators)(s)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -628,4 +744,4 @@ def format_monomial(mono: tuple[int, ...]) -> str:
 def format_series(s: TruncatedSeries) -> str:
     """One line per nonzero term, `X1.X2 : -3`, in (degree, lex) order;
     the constant term prints as `1 : c`."""
-    return "\n".join(f"{format_monomial(m)} : {c}" for m, c in s.items())
+    return "\n".join(f"{label} : {c}" for label, c in s.labelled_items())

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import _oracle as oracle
+from weldmag import invariants, magnus
 from weldmag.arrows import insert_self_tree, leaf, node, realize_sorted, sorted_presentation, surgery
 from weldmag.gauss import (
     applicable_sites,
@@ -280,6 +281,63 @@ def test_action_invert():
         assert action_compose(phi, psi) == ident2
         assert action_compose(psi, phi).images == ident2.images
     assert action_invert(ident2) == ident2
+
+
+def test_action_compose_inverts_each_conjugator_once(monkeypatch):
+    """One substitution per composition: n series_inverse calls, not n per
+    conjugator."""
+    rng = random.Random(53)
+    phi, psi = action(random_realized(rng, 3, 5), 2), action(random_realized(rng, 3, 5), 2)
+    calls = []
+    real = magnus.series_inverse
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(magnus, "series_inverse", counting)
+    monkeypatch.setattr(invariants, "series_inverse", counting)
+    action_compose(phi, psi)
+    assert 0 < len(calls) <= 3
+
+
+def test_action_invert_forms_each_monomial_image_once(monkeypatch):
+    """Every fixed-point round reuses phi's substitution: it forms at most
+    one product per monomial image it keeps, plus the n variable images
+    (one series_inverse of at most q products and one product each)."""
+    products = [0]
+    real = magnus._convolve
+
+    def counting(*args):
+        products[0] += 1
+        return real(*args)
+
+    subs = []
+
+    class Recording(magnus.Substitution):
+        def __init__(self, conjugators):
+            before = products[0]
+            super().__init__(conjugators)
+            self.conjugators = tuple(conjugators)
+            self.products, self.calls = products[0] - before, 0
+            subs.append(self)
+
+        def __call__(self, s):
+            before = products[0]
+            out = super().__call__(s)
+            self.products += products[0] - before
+            self.calls += 1
+            return out
+
+    rng = random.Random(59)
+    phi = action(random_realized(rng, 3, 6), 2)
+    monkeypatch.setattr(magnus, "_convolve", counting)
+    monkeypatch.setattr(invariants, "Substitution", Recording)
+    action_invert(phi)
+    (sub,) = [s for s in subs if all(a is b for a, b in zip(s.conjugators, phi.conjugators))]
+    n, q = phi.rank, phi.policy.max_total_degree
+    assert len(sub) > n + 1 and sub.calls >= 2 * n
+    assert sub.products <= (len(sub) - 1) + n * (q + 1)
 
 
 def test_action_ignores_degree_k_self_trees():

@@ -1,12 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle as oracle
 from weldmag.magnus import (
     MagnusError,
+    Substitution,
     TruncationPolicy,
+    _PolicySpace,
     coefficient,
     expand,
     format_monomial,
@@ -257,6 +262,112 @@ def test_substitute_conjugates_matches_naive():
         assert got == want
 
 
+def random_conjugators(rng, pol):
+    """Unit series of random words under pol, with their oracle dicts."""
+    conjs, dconjs = [], []
+    for _ in range(pol.rank):
+        w = word_from_letters(pol.rank, oracle.random_reduced_letters(rng, pol.rank, 3))
+        conjs.append(expand(w, pol))
+        dconjs.append(oracle.expand_letters(list(w.letters()), pol.max_total_degree, pol.caps))
+    return conjs, dconjs
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_substitution_matches_oracle_on_caps_policies(caps, q, seed, big):
+    """One Substitution applied to several series in a row: each result
+    must match the oracle, so no cached monomial image carries one series'
+    coefficients into the next."""
+    rank = len(caps)
+    pol = TruncationPolicy.with_caps(rank, caps, min(q, sum(caps) - rank))
+    rng = random.Random(seed)
+    conjs, dconjs = random_conjugators(rng, pol)
+    sub = Substitution(conjs)
+    for trial in range(4):
+        s, ds = rand_series(rng, pol, terms=5, span=6)
+        if big and trial == 1:
+            ds = {m: c * 2**62 for m, c in ds.items()}
+            s = series_from_terms(pol, ds)
+        want = oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
+        assert as_dict(sub(s)) == want
+        assert as_dict(substitute_conjugates(s, conjs)) == want
+
+
+def test_substitution_object_path_matches_oracle():
+    """A coefficient of 2**62 moves the sum to Python ints; the same
+    substitution then still gives exact int64 results."""
+    rng = random.Random(12)
+    pol = TruncationPolicy.uniform_caps(2, 2)
+    conjs, dconjs = random_conjugators(rng, pol)
+    sub = Substitution(conjs)
+    ds = {(): 1, (1,): 2**62, (1, 2): -3, (2, 1, 2): 2**62 + 1}
+    got = sub(series_from_terms(pol, ds))
+    assert got._vec.dtype == object
+    assert as_dict(got) == oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
+    s, ds = rand_series(rng, pol, terms=5, span=6)
+    got = sub(s)
+    assert as_dict(got) == oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
+    # big conjugators put the monomial images themselves on Python ints
+    dconjs = [{(): 1, (1,): 2**62, (2, 1): 3}, {(): 1, (2,): -5, (1, 2): 2**63}]
+    sub = Substitution([series_from_terms(pol, d) for d in dconjs])
+    ds = {(): 1, (1,): 1, (2,): 2, (1, 2): 3, (2, 1, 1): 4, (1, 2, 2, 1): 7}
+    got = sub(series_from_terms(pol, ds))
+    assert as_dict(got) == oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
+
+
+def test_substitution_validation():
+    pol = TruncationPolicy.uniform_caps(2, 1)
+    other = TruncationPolicy.uniform_caps(2, 2)
+    with pytest.raises(MagnusError, match="one conjugator per variable"):
+        Substitution([series_one(pol)])
+    with pytest.raises(MagnusError, match="one conjugator per variable"):
+        Substitution([])
+    with pytest.raises(MagnusError, match="conjugator policy"):
+        Substitution([series_one(pol), series_one(other)])
+    with pytest.raises(MagnusError, match="policy mismatch"):
+        Substitution([series_one(pol)] * 2)(series_one(other))
+
+
+def naive_splits(space):
+    A, B, C = [], [], []
+    for c, m in enumerate(space.monos):
+        for cut in range(len(m) + 1):
+            A.append(space.index[m[:cut]])
+            B.append(space.index[m[cut:]])
+            C.append(c)
+    return A, B, C
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        TruncationPolicy.total_degree(1, 6),
+        TruncationPolicy.total_degree(2, 1),
+        TruncationPolicy.total_degree(3, 4),
+        TruncationPolicy.uniform_caps(2, 3),
+        TruncationPolicy.uniform_caps(3, 2),
+        TruncationPolicy.component_caps(3, 2, 2),
+        TruncationPolicy.component_caps(4, 1, 1),
+        TruncationPolicy.with_caps(3, (2, 4, 3), 4),
+    ],
+)
+def test_splits_match_naive_construction(policy):
+    space = _PolicySpace(policy)
+    A, B, C = space.splits()
+    assert (A.tolist(), B.tolist(), C.tolist()) == naive_splits(space)
+    assert (np.diff(C) >= 0).all()
+    # extension rows: per prefix a, the triples with a nonempty suffix, in order
+    ptr, EB, EC = space.extensions()
+    for a in range(space.size):
+        want = [(b, c) for aa, b, c in zip(A, B, C) if aa == a and b != 0]
+        assert list(zip(EB[ptr[a]:ptr[a + 1]].tolist(), EC[ptr[a]:ptr[a + 1]].tolist())) == want
+
+
 def test_substitution_on_expansions_is_group_substitution():
     """Substituting X_j -> conj(X_j) into E(w) equals E(w with a_j -> a_j^c_j)."""
     rng = random.Random(10)
@@ -319,6 +430,15 @@ def test_serialization_format():
     lines = format_series(s).splitlines()
     assert lines == ["1 : 1", "X2 : 2", "X1.X2 : -3"]
     assert format_series(series_one(pol)) == "1 : 1"
+
+
+def test_labelled_items_match_format_monomial():
+    rng = random.Random(13)
+    pol = TruncationPolicy.uniform_caps(3, 2)
+    for _ in range(3):  # later rounds read labels formatted earlier
+        s, _ = rand_series(rng, pol, terms=8)
+        want = [(format_monomial(m), c) for m, c in s.items()]
+        assert list(s.labelled_items()) == want
 
 
 def test_items_order_and_equality():
