@@ -13,6 +13,7 @@ break.  All output is deterministic; JSON output carries "schema": 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -236,7 +237,11 @@ def _cmd_link_vanishing(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls of main:
+    building it costs more than a small question, and each build leaves
+    cyclic garbage behind."""
     p = argparse.ArgumentParser(prog="weldmag",
                                 description="Milnor invariants of welded string links")
     sub = p.add_subparsers(dest="command", required=True)
@@ -308,11 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

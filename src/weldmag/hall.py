@@ -19,17 +19,34 @@ The per-length counts match the Witt necklace numbers, and the lowest
 (principal) homogeneous parts of the Magnus expansions of the length-d
 basic commutators are linearly independent, which is what makes the
 degree-by-degree factorization below well posed with integer exponents.
+
+The factorization works in the series ring at total degree k: the word is
+expanded once, and each degree's factors are divided off the expansion, so
+no word is ever rewritten and the cost does not follow the exponents.  The
+degree-d exponents come from an integer solve over the principal parts:
+one integer matrix over a common denominator, inverted fraction-free once
+per (rank, degree), a divisibility check by that denominator, and a check
+of every row of the system.  Either check failing raises HallError.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from . import words
-from .magnus import TruncationPolicy, TruncatedSeries, expand, lcs_lower_bound, series_from_terms
+from .magnus import (
+    INT64_SAFE,
+    TruncatedSeries,
+    TruncationPolicy,
+    expand,
+    series_from_terms,
+    series_mul,
+    series_pow,
+)
 from .words import Word
 
 __all__ = [
@@ -129,76 +146,143 @@ def principal_part(c: BasicCommutator, policy: TruncationPolicy) -> TruncatedSer
     return series_from_terms(policy, terms)
 
 
-def _degree_monomials(n: int, d: int) -> list[tuple[int, ...]]:
-    return [tuple(m) for m in itertools.product(range(1, n + 1), repeat=d)]
+# the prime 2^31 - 1: rows independent mod it are independent over Q
+_PRIME = 2_147_483_647
+
+
+def _independent_rows(rows: list[list[int]]) -> list[int]:
+    """Indices of the first maximal set of rows independent mod _PRIME,
+    taken greedily in order; such rows are independent over Q too."""
+    reduced: list[tuple[int, list[int]]] = []  # (lead column, row with 1 there)
+    keep: list[int] = []
+    for i, row in enumerate(rows):
+        r = [x % _PRIME for x in row]
+        for lead, b in reduced:
+            if r[lead]:
+                f = r[lead]
+                r = [(x - f * y) % _PRIME for x, y in zip(r, b)]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, _PRIME)
+            reduced.append((lead, [x * inv % _PRIME for x in r]))
+            keep.append(i)
+    return keep
+
+
+def _fraction_free_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(D, B) with A B = D I and D > 0 for a nonsingular integer matrix A.
+
+    Fraction-free Gauss-Jordan elimination of [A | I] (Bareiss, 1968): after
+    pivot step k every entry is a (k+1)-minor, so each division by the
+    previous pivot is exact, and at the end the left block is +-det(A) I.
+    """
+    m = len(a)
+    rows = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(a)]
+    prev = 1
+    for k in range(m):
+        p = next(r for r in range(k, m) if rows[r][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        piv = rows[k][k]
+        for i in range(m):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = piv
+    sign = 1 if prev > 0 else -1
+    return sign * prev, [[sign * x for x in r[m:]] for r in rows]
+
+
+def _product(a: np.ndarray, a_norm: float, v: np.ndarray) -> np.ndarray:
+    """a @ v exactly: on int64 while a_norm * max|v| bounds every partial
+    sum below the guard, on Python ints beyond it."""
+    if a.dtype != object and v.dtype != object:
+        if a_norm * int(np.abs(v).max(initial=0)) < INT64_SAFE:
+            return a @ v
+    return a.astype(object).dot(v.astype(object))
 
 
 @lru_cache(maxsize=None)
 def _degree_solver(n: int, d: int):
     """Exact solver for the degree-d principal-part system.
 
-    Returns a callable taking the degree-d coefficient vector (in lex
-    monomial order) and producing the integer exponent vector over the
-    length-d basic commutators, verifying the solution against every row.
+    Returns solve, which takes the degree-d coefficient vector (in lex
+    monomial order) and returns the integer exponent vector over the
+    length-d basic commutators, verified against every row.  A
+    principal part only has monomials with its commutator's letter counts,
+    so the unknowns split into one block per count vector.
     """
     basis = [c for c in generate_basic(n, d) if c.length == d]
-    monos = _degree_monomials(n, d)
     policy = TruncationPolicy.total_degree(n, d)
-    cols = []
-    for c in basis:
-        pp = principal_part(c, policy)
-        cols.append([pp.coefficient(m) for m in monos])
-    nrows, ncols = len(monos), len(basis)
+    cols = np.zeros((n**d, len(basis)), dtype=np.int64)
+    by_entries: dict[tuple[int, ...], list[int]] = {}
+    for j, c in enumerate(basis):
+        cols[:, j] = principal_part(c, policy).degree_block(d)
+        by_entries.setdefault(c.entries, []).append(j)
+    return _integer_solver(cols, list(by_entries.values()), d)
 
-    # Greedily pick ncols rows forming an invertible square system.
-    pivot_rows: list[int] = []
-    rref: list[list[Fraction]] = []
-    for r in range(nrows):
-        row = [Fraction(cols[j][r]) for j in range(ncols)]
-        for prow in rref:
-            lead = next(i for i, x in enumerate(prow) if x)
-            if row[lead]:
-                f = row[lead] / prow[lead]
-                row = [a - f * b for a, b in zip(row, prow)]
-        if any(row):
-            rref.append(row)
-            pivot_rows.append(r)
-            if len(pivot_rows) == ncols:
-                break
-    if len(pivot_rows) != ncols:
-        raise HallError(f"principal parts of length {d} are not independent (rank {n})")
 
-    # Exact inverse of the square pivot submatrix.
-    a = [[Fraction(cols[j][r]) for j in range(ncols)] for r in pivot_rows]
-    inv = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    for col in range(ncols):
-        p = next(r for r in range(col, ncols) if a[r][col])
-        a[col], a[p] = a[p], a[col]
-        inv[col], inv[p] = inv[p], inv[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
-        inv[col] = [x / f for x in inv[col]]
-        for r in range(ncols):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
+    """solve(b) -> the integer x with cols @ x == b, or HallError.
 
-    def solve(b: list[int]) -> list[int]:
-        x = []
-        for i in range(ncols):
-            acc = Fraction(0)
-            for j in range(ncols):
-                acc += inv[i][j] * b[pivot_rows[j]]
-            if acc.denominator != 1:
-                raise HallError(f"non-integral exponent at degree {d}: {acc}")
-            x.append(int(acc))
-        for r in range(nrows):
-            if sum(cols[j][r] * x[j] for j in range(ncols)) != b[r]:
-                raise HallError(f"degree-{d} system inconsistent at row {r}")
-        return x
+    ``blocks`` partitions the unknowns so that no row has nonzero entries
+    in two blocks.  Each block's pivot rows are chosen mod a prime and
+    inverted fraction-free; the blocks share one denominator D, so a solve
+    is one integer product over the pivot rows, a divisibility check by D,
+    and one product verifying every row.
+    """
+    ncols = cols.shape[1]
+    pivots: list[int] = []
+    parts = []  # (unknowns, first pivot position, det, adjugate)
+    for unknowns in blocks:
+        rows = np.flatnonzero((cols[:, unknowns] != 0).any(axis=1))
+        sub = cols[np.ix_(rows, unknowns)].tolist()
+        keep = _independent_rows(sub)
+        if len(keep) != len(unknowns):
+            raise HallError(f"principal parts of length {d} are not independent")
+        det, adj = _fraction_free_inverse([sub[i] for i in keep])
+        parts.append((unknowns, len(pivots), det, adj))
+        pivots.extend(int(rows[i]) for i in keep)
+    denom = math.lcm(*(det for _, _, det, _ in parts))
+    # row j of the inverse is row j of its block's adjugate, scaled to denom
+    inv_rows = [
+        (j, at, [x * (denom // det) for x in row])
+        for unknowns, at, det, adj in parts
+        for j, row in zip(unknowns, adj)
+    ]
+    inv_norm = max((sum(map(abs, row)) for _, _, row in inv_rows), default=0)
+    inv = np.zeros((ncols, ncols), dtype=np.int64 if inv_norm < INT64_SAFE else object)
+    for j, at, row in inv_rows:
+        inv[j, at : at + len(row)] = row
+    # a bound on the largest row 1-norm, safe against float rounding
+    row_sums = np.abs(cols).sum(axis=1, dtype=np.float64)
+    cols_norm = float(row_sums.max(initial=0.0)) * (1.0 + 1e-9) + 1.0
+    pivot_rows = np.array(pivots, dtype=np.int64)
 
-    return basis, solve
+    def solve(b: np.ndarray) -> list[int]:
+        y = _product(inv, inv_norm, b[pivot_rows])
+        frac = np.flatnonzero(y % denom)
+        if len(frac):
+            num = int(y[frac[0]])
+            g = math.gcd(num, denom)
+            raise HallError(f"non-integral exponent at degree {d}: {num // g}/{denom // g}")
+        x = y // denom
+        bad = np.flatnonzero(_product(cols, cols_norm, x) != b)
+        if len(bad):
+            raise HallError(f"degree-{d} system inconsistent at row {bad[0]}")
+        return [int(v) for v in x]
+
+    return solve
+
+
+@lru_cache(maxsize=None)
+def _expansions(n: int, k: int) -> tuple[tuple[TruncatedSeries, TruncatedSeries], ...]:
+    """(expand(c), expand(c^-1)) at total degree k for every c in
+    generate_basic(n, k), so that no factor power needs an inversion."""
+    policy = TruncationPolicy.total_degree(n, k)
+    return tuple(
+        (expand(c.word, policy), expand(words.invert(c.word), policy))
+        for c in generate_basic(n, k)
+    )
 
 
 def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
@@ -210,27 +294,29 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     remainder h provably has no Magnus terms in degrees 1..k (so it lies in
     the (k+1)-st lower central subgroup).
 
-    The exponents are extracted degree by degree: at degree d the remaining
-    word's degree-d coefficients are written in the principal-part basis of
-    the length-d basic commutators by an exact, verified linear solve.
+    The work stays in the series ring at total degree k: w is expanded
+    once, and at each degree d the remainder's degree-d block is written in
+    the principal-part basis of the length-d basic commutators by an exact
+    integer solve (a divisibility check, then every row verified).  The
+    remainder is then left-multiplied by the inverse of that degree's
+    product of factor powers, one factor C^-e at a time, each a power of
+    the cached expansion of C or of its inverse.  The cost follows the
+    word's length and not the size of its exponents; ``certified`` reads
+    the remainder's degree blocks 1..k.
     """
     if k < 1:
         raise HallError(f"k must be at least 1, got {k}")
     n = w.rank
-    policy = TruncationPolicy.total_degree(n, k)
+    solvers = [_degree_solver(n, d) for d in range(1, k + 1)]
+    expansions = _expansions(n, k)
+    rem = expand(w, TruncationPolicy.total_degree(n, k))
     exps: list[int] = []
-    cur = w
-    for d in range(1, k + 1):
-        e = expand(cur, policy)
-        b = [e.coefficient(m) for m in _degree_monomials(n, d)]
-        basis_d, solve = _degree_solver(n, d)
-        x = solve(b)
+    for d, solve in enumerate(solvers, start=1):
+        x = solve(rem.degree_block(d))
+        # (C_1^x_1 ... C_m^x_m)^-1 rem = C_m^-x_m (... (C_1^-x_1 rem))
+        for (e_c, e_c_inv), exp in zip(expansions[len(exps) :], x):
+            if exp:
+                rem = series_mul(series_pow(e_c_inv if exp > 0 else e_c, abs(exp)), rem)
         exps.extend(x)
-        if any(x):
-            partial = words.empty(n)
-            for c, exp in zip(basis_d, x):
-                if exp:
-                    partial = words.multiply(partial, words.power(c.word, exp))
-            cur = words.multiply(words.invert(partial), cur)
-    certified = lcs_lower_bound(cur, k) is None
+    certified = not any(rem.degree_block_nonzero(d) for d in range(1, k + 1))
     return exps, certified

@@ -41,7 +41,6 @@ from .magnus import (
     TruncationPolicy,
     coefficient,
     retruncate,
-    series_inverse,
     series_mul,
     series_one,
     series_pow,
@@ -327,8 +326,7 @@ def action_invert(phi: KReducedAction) -> KReducedAction:
     n, k = phi.rank, phi.k
     sub = Substitution(phi.conjugators)
     conj = []
-    for c in phi.conjugators:
-        target = series_inverse(c)
+    for target in sub.inverses:
         m = target
         for _ in range(pol.max_total_degree + 1):
             # m <- target - (phi(m) - m); the correction degree rises each round

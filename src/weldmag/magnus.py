@@ -72,8 +72,9 @@ __all__ = [
     "format_series",
 ]
 
-# Promote to Python-int vectors once a result's 1-norm bound crosses this.
-_INT64_SAFE = 2.0**61
+# Promote to Python-int vectors once a result's 1-norm bound crosses this;
+# hall's integer solve follows the same rule.
+INT64_SAFE = 2.0**61
 
 
 class MagnusError(ValueError):
@@ -349,10 +350,16 @@ class TruncatedSeries:
     def is_zero(self) -> bool:
         return not (self._vec != 0).any()
 
-    def degree_block_nonzero(self, d: int) -> bool:
+    def degree_block(self, d: int) -> np.ndarray:
+        """The degree-d coefficients in (degree, lex) order, a read-only
+        int64 or object-dtype view."""
         space = _space(self.policy)
-        lo, hi = space.deg_start[d], space.deg_start[d + 1]
-        return bool((self._vec[lo:hi] != 0).any())
+        block = self._vec[space.deg_start[d] : space.deg_start[d + 1]]
+        block.flags.writeable = False
+        return block
+
+    def degree_block_nonzero(self, d: int) -> bool:
+        return bool((self.degree_block(d) != 0).any())
 
     def agrees_through_degree(self, other: "TruncatedSeries", d: int) -> bool:
         """True if the two series have equal coefficients in all degrees <= d."""
@@ -377,7 +384,7 @@ class TruncatedSeries:
             return NotImplemented
         _check_policies(self, other)
         sv, ov = self._vec, other._vec
-        if self._bound + other._bound >= _INT64_SAFE or sv.dtype == object or ov.dtype == object:
+        if self._bound + other._bound >= INT64_SAFE or sv.dtype == object or ov.dtype == object:
             sv, ov = _to_object(sv), _to_object(ov)
         return TruncatedSeries(self.policy, sv + ov)
 
@@ -448,7 +455,7 @@ def _convolve(
     module is formed here, on int64 while the bound allows."""
     A, B, C = splits
     est = s_bound * t_bound
-    if est >= _INT64_SAFE or sv.dtype == object or tv.dtype == object:
+    if est >= INT64_SAFE or sv.dtype == object or tv.dtype == object:
         sv, tv = _to_object(sv), _to_object(tv)
         out = np.zeros(size, dtype=object)
         vals = sv[A] * tv[B]
@@ -488,15 +495,15 @@ def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
     """s**e for any integer e (negative exponents invert first)."""
     if e < 0:
         return series_pow(series_inverse(s), -e)
-    out = series_one(s.policy)
+    out = None  # stands for the unit until the first factor
     base = s
     while e:
         if e & 1:
-            out = series_mul(out, base)
+            out = base if out is None else series_mul(out, base)
         e >>= 1
         if e:
             base = series_mul(base, base)
-    return out
+    return series_one(s.policy) if out is None else out
 
 
 # -- expansion of words -------------------------------------------------------
@@ -505,7 +512,7 @@ def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
 def _mul_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
     """vec * (1 + X_v)."""
     est = 2.0 * bound
-    if est >= _INT64_SAFE and vec.dtype != object:
+    if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     out = vec.copy()
     src, dst = space.app_src[v], space.app_dst[v]
@@ -516,7 +523,7 @@ def _mul_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
 def _div_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
     """vec * (1 + X_v)^{-1}, by degree-increasing back substitution."""
     est = bound * (space.max_degree + 1)
-    if est >= _INT64_SAFE and vec.dtype != object:
+    if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     out = vec.copy()
     for sel, par in space.div_rows(v):
@@ -541,7 +548,7 @@ def _mul_run(space: _PolicySpace, vec: np.ndarray, bound: float, v: int, mult: i
         return _div_one_letter(space, vec, bound, v)
     coeffs = _binomial_coeffs(mult, space.max_degree)
     est = bound * float(sum(abs(c) for c in coeffs))
-    if est >= _INT64_SAFE and vec.dtype != object:
+    if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     src_dst = (space.app_src[v], space.app_dst[v])
     out = vec * coeffs[0]
@@ -655,7 +662,8 @@ class Substitution:
 
     Build one per operation and apply it to every series that operation
     substitutes into.  The n variable images c_v^{-1} X_v c_v are formed on
-    construction (one series_inverse and one product each).  The image of a
+    construction (one series_inverse and one product each); the inverses
+    c_v^{-1} are kept as ``inverses``.  The image of a
     monomial m.v is formed on first use as the image of m times the image of
     X_v, one product, and kept; applying the substitution to a series sums
     the scaled images of its monomials.  Monomial images are sparse, so
@@ -674,9 +682,10 @@ class Substitution:
                 raise MagnusError("conjugator policy mismatch")
         self.policy = policy
         self._space = _space(policy)
+        self.inverses = tuple(series_inverse(c) for c in conjugators)
         self.variable_images = tuple(
-            series_mul(_times_variable(series_inverse(c), v), c)
-            for v, c in enumerate(conjugators, start=1)
+            series_mul(_times_variable(inv, v), c)
+            for v, (inv, c) in enumerate(zip(self.inverses, conjugators), start=1)
         )
         self._images: dict[int, _SparseImage] = {
             0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 2.0)
@@ -721,7 +730,7 @@ class Substitution:
         vec = s._vec
         rows = [(int(vec[i]), self._image(int(i))) for i in np.flatnonzero(vec != 0)]
         est = sum(abs(c) * bound for c, (_, _, bound) in rows)
-        wide = est >= _INT64_SAFE or any(vals.dtype == object for _, (_, vals, _) in rows)
+        wide = est >= INT64_SAFE or any(vals.dtype == object for _, (_, vals, _) in rows)
         out = np.zeros(self._space.size, dtype=object if wide else np.int64)
         for c, (idx, vals, _) in rows:
             out[idx] += c * (_to_object(vals) if wide else vals)

@@ -70,6 +70,21 @@ def inverse(a, q, caps=None):
     return clean(out, q, caps)
 
 
+def power(a, e, q, caps=None):
+    """a**e for a series with constant term 1 and any integer e, by the
+    binomial series sum_j C(e, j) (a - 1)^j, which stops at j = q."""
+    assert a.get((), 0) == 1
+    u = {m: c for m, c in a.items() if m}
+    out, term, binom = one(), one(), 1
+    for j in range(1, q + 1):
+        term = mul(term, u, q, caps)
+        if not term:
+            break
+        binom = binom * (e - j + 1) // j  # C(e, j), exact for any integer e
+        out = add(out, {m: binom * c for m, c in term.items()})
+    return clean(out, q, caps)
+
+
 def expand_letters(letters, q, caps=None):
     """Magnus expansion of a letter sequence (positive = generator,
     negative = inverse), multiplied out one letter at a time."""

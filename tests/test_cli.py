@@ -225,6 +225,17 @@ def test_error_paths_use_stderr(capsys):
     assert rc == 2 and "out of range" in err
 
 
+def test_memory_error_exits_2_without_output(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(invariants, "milnor_table", exhausted)
+    rc, out, err = run(capsys, "table", SINGLE, "--k", "2")
+    assert rc == 2
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 def test_code_argument_reads_files(capsys, tmp_path):
     path = tmp_path / "code.gauss"
     path.write_text("1: U1+\n2: O1+\n")

@@ -296,9 +296,29 @@ def test_action_compose_inverts_each_conjugator_once(monkeypatch):
         return real(s)
 
     monkeypatch.setattr(magnus, "series_inverse", counting)
-    monkeypatch.setattr(invariants, "series_inverse", counting)
+    # invariants itself no longer binds series_inverse; patch it if it does
+    monkeypatch.setattr(invariants, "series_inverse", counting, raising=False)
     action_compose(phi, psi)
     assert 0 < len(calls) <= 3
+
+
+def test_action_invert_reuses_the_substitution_inverses(monkeypatch):
+    """At n=3: three inversions for phi's substitution, whose inverses are
+    also the fixed-point targets, then three for each of the four
+    substitutions of the two certifying compositions and their images."""
+    rng = random.Random(59)
+    phi = action(random_realized(rng, 3, 5), 2)
+    calls = []
+    real = magnus.series_inverse
+
+    def counting(s):
+        calls.append(s)
+        return real(s)
+
+    monkeypatch.setattr(magnus, "series_inverse", counting)
+    monkeypatch.setattr(invariants, "series_inverse", counting, raising=False)
+    action_invert(phi)
+    assert len(calls) == 15
 
 
 def test_action_invert_forms_each_monomial_image_once(monkeypatch):
