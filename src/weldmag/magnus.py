@@ -27,6 +27,22 @@ operation is guarded by a conservative bound on the 1-norm of the result
 anywhere near the int64 range the computation is promoted to an object-dtype
 vector holding Python integers.  Overflow can therefore never wrap silently.
 
+Every product is formed by ``_convolve``, by one of two exact paths.  The
+pair path forms only the pairs (a, b) of nonzero terms whose concatenation
+survives.  Supports are sorted by degree, so the b that fit after a form a
+prefix of the right factor's support, found by one searchsorted; a pair
+that breaks a cap is dropped by one add and mask of packed letter counts;
+the index of a.b is found by a searchsorted of its base-(n+1) code among
+the policy's codes; and the products are summed by sorting on that index
+and np.add.reduceat.  The dense path runs over every split triple (a, b, c)
+of the policy and sums with np.add.reduceat over the triples of each c.  A
+fixed rule in the code picks the dense path on policies with few split
+triples, on operands with more than a tenth as many pairs as triples, and
+where the codes or the packed counts would not fit in int64; the rule
+changes only the speed.  Both paths sum int64 products exactly while the
+1-norm bound stays below INT64_SAFE, and Python-int products beyond it; no
+sum goes through floats.
+
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
 trivial, degree-truncation permitting, which is what makes every membership
@@ -44,8 +60,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -151,55 +167,117 @@ class _PolicySpace:
     Monomials are listed sorted by (degree, lexicographic), which is also the
     serialization order.  Prefixes and suffixes of surviving monomials always
     survive, so parent links and concatenation splits stay inside the list.
+
+    Monomial i is stored as parent[i] (itself without its last letter),
+    last[i], deg[i] and codes[i], its letters read as base-(n+1) digits.
+    A longer monomial has the larger code, and codes of one length compare
+    lexicographically, so codes increase with i and a searchsorted on codes
+    maps a code back to its index.  The code of m1.m2 is
+    code(m1) * (n+1)^|m2| + code(m2).  Under caps, counts[i] packs the
+    letter counts into one int64, X_v's count in bits [w(v-1), wv), with
+    w - 1 bits for the count and one guard bit; a pair of monomials breaks a
+    cap exactly when counts[a] + counts[b] + cap_offset sets a guard bit.
+    Codes are int64 while (n+1)^q stays below 2^62 and Python ints beyond;
+    products form support pairs only when the codes, and under caps the
+    packed counts, fit in int64 (see _convolve).
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
         n, q, caps = policy.rank, policy.max_total_degree, policy.caps
-        monos: list[tuple[int, ...]] = [()]
+        base = n + 1
+        self.policy = policy
+        self.max_degree = q
+        codes_fit = base**q < 2**62
+        code_type = np.int64 if codes_fit else object
+        cap = None if caps is None else np.array(caps, dtype=np.int64)
+        letters = np.arange(1, n + 1, dtype=np.int64)
+
+        # layer d+1 appends every admissible letter to each monomial of
+        # layer d in order, so each layer comes out lexicographically sorted
+        parents = [np.full(1, -1, dtype=np.int64)]
+        lasts = [np.zeros(1, dtype=np.int64)]
+        codes = [np.zeros(1, dtype=code_type)]
+        count = np.zeros((1, n), dtype=np.int64)
+        counts = [count]
         deg_start = [0, 1]
-        layer: list[tuple[int, ...]] = [()]
         for _ in range(q):
-            nxt: list[tuple[int, ...]] = []
-            for m in layer:
-                for v in range(1, n + 1):
-                    if caps is None or m.count(v) + 1 <= caps[v - 1] - 1:
-                        nxt.append(m + (v,))
-            monos.extend(nxt)
-            deg_start.append(len(monos))
-            layer = nxt
-            if not nxt:
+            p = np.repeat(np.arange(len(lasts[-1]), dtype=np.int64), n)
+            v = np.tile(letters, len(lasts[-1]))
+            if cap is not None:
+                keep = count[p, v - 1] + 1 < cap[v - 1]
+                p, v = p[keep], v[keep]
+                count = count[p]
+                count[np.arange(len(p)), v - 1] += 1
+                counts.append(count)
+            parents.append(p + deg_start[-2])
+            lasts.append(v)
+            codes.append(codes[-1][p] * base + v.astype(code_type))
+            deg_start.append(deg_start[-1] + len(p))
+            if not len(p):
                 break
         while len(deg_start) < q + 2:
-            deg_start.append(len(monos))
+            deg_start.append(deg_start[-1])
 
-        self.policy = policy
-        self.monos = monos
-        self.size = len(monos)
-        self.index: dict[tuple[int, ...], int] = {m: i for i, m in enumerate(monos)}
+        self.parent = np.concatenate(parents)
+        self.last = np.concatenate(lasts)
+        self.codes = np.concatenate(codes)
+        self.size = len(self.codes)
         self.deg_start = deg_start  # deg d block is [deg_start[d], deg_start[d+1])
-        self.max_degree = q
+        self.deg = np.repeat(np.arange(q + 1, dtype=np.int64), np.diff(deg_start))
+        # sum over c of (deg c + 1): the number of split triples
+        self.triples = int(self.size + self.deg.sum())
+        self.counts = None
+        if cap is not None:
+            guard = int(cap.max()).bit_length()
+            width = guard + 1
+            if n * width <= 62:
+                shift = width * np.arange(n, dtype=np.int64)
+                self.counts = (np.concatenate(counts) << shift).sum(axis=1)
+                self.cap_offset = int((((1 << guard) - cap) << shift).sum())
+                self.cap_guard = int(((1 << guard) << shift).sum())
+        self.pairs_fit = codes_fit and (caps is None or self.counts is not None)
+        self.powers = base ** np.arange(q + 1, dtype=np.int64) if codes_fit else None
 
-        parent = np.full(self.size, -1, dtype=np.int64)
-        last = np.zeros(self.size, dtype=np.int64)
-        # append pairs per variable: (source index, target index)
-        app_src: list[list[int]] = [[] for _ in range(n + 1)]
-        app_dst: list[list[int]] = [[] for _ in range(n + 1)]
-        for i, m in enumerate(monos):
-            if m:
-                p = self.index[m[:-1]]
-                parent[i] = p
-                last[i] = m[-1]
-                app_src[m[-1]].append(p)
-                app_dst[m[-1]].append(i)
-        self.parent = parent
-        self.last = last
-        self.app_src = [np.array(a, dtype=np.int64) for a in app_src]
-        self.app_dst = [np.array(a, dtype=np.int64) for a in app_dst]
+        self.app_src, self.app_dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for v in range(1, n + 1):
+            dst = np.flatnonzero(self.last == v)
+            self.app_src.append(self.parent[dst])
+            self.app_dst.append(dst)
 
         self._div_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._extensions: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._monos: dict[int, tuple[int, ...]] = {0: ()}
         self._labels: dict[int, str] = {}
+
+    def monos_at(self, idx: Iterable[int]) -> list[tuple[int, ...]]:
+        """The monomials at the indices idx as tuples of letters, each
+        formed on first use from its parent's and kept."""
+        known, idx = self._monos, list(idx)
+        for i in idx:
+            path = []
+            while i not in known:
+                path.append(i)
+                i = int(self.parent[i])
+            m = known[i]
+            for p in reversed(path):
+                m = known[p] = m + (int(self.last[p]),)
+        return [known[i] for i in idx]
+
+    @cached_property
+    def monos(self) -> list[tuple[int, ...]]:
+        """Every monomial, in index order."""
+        return self.monos_at(range(self.size))
+
+    def find(self, mono: tuple[int, ...]) -> int | None:
+        """Index of a monomial, or None when the policy drops it."""
+        base = self.policy.rank + 1
+        if len(mono) > self.max_degree or not all(0 < v < base for v in mono):
+            return None
+        code = 0
+        for v in mono:
+            code = code * base + v
+        i = int(np.searchsorted(self.codes, code))
+        return i if i < self.size and self.codes[i] == code else None
 
     def div_rows(self, v: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per degree d >= 1: (indices of monomials ending in X_v, their parents)."""
@@ -214,6 +292,11 @@ class _PolicySpace:
             self._div_rows[v] = rows
         return rows
 
+    @cached_property
+    def split_heads(self) -> np.ndarray:
+        """Position of each monomial's first split triple in splits()."""
+        return np.cumsum(self.deg + 1) - (self.deg + 1)
+
     def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All concatenation triples (a, b, c) with mono_a * mono_b = mono_c,
         ordered by c and then by the cut position, so C is non-decreasing.
@@ -222,8 +305,7 @@ class _PolicySpace:
         parent steps, its suffix of length d - s by s drop-first-letter steps.
         """
         if self._splits is None:
-            n = self.policy.rank
-            deg = np.repeat(np.arange(self.max_degree + 1, dtype=np.int64), np.diff(self.deg_start))
+            n, deg = self.policy.rank, self.deg
             # drop[i]: index of monomial i without its first letter; built by
             # degree, since drop(m.v) = drop(m).v
             child = np.full((self.size, n + 1), -1, dtype=np.int64)
@@ -234,8 +316,7 @@ class _PolicySpace:
                 lo, hi = self.deg_start[d], self.deg_start[d + 1]
                 drop[lo:hi] = child[drop[self.parent[lo:hi]], self.last[lo:hi]]
             C = np.repeat(np.arange(self.size, dtype=np.int64), deg + 1)
-            first = np.cumsum(deg + 1) - (deg + 1)
-            cut = np.arange(len(C), dtype=np.int64) - first[C]
+            cut = np.arange(len(C), dtype=np.int64) - self.split_heads[C]
             A, B = C.copy(), C.copy()
             back = deg[C] - cut  # parent steps from c to its prefix
             for s in range(self.max_degree):
@@ -246,29 +327,14 @@ class _PolicySpace:
             self._splits = (A, B, C)
         return self._splits
 
-    def extensions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The split triples with a nonempty suffix, grouped by prefix.
-
-        Returns (ptr, B, C): the pairs (b, c) with mono_a * mono_b = mono_c
-        and b nonempty are B[ptr[a]:ptr[a+1]] and C[ptr[a]:ptr[a+1]].  A
-        product whose left factor has few nonzero terms and whose right
-        factor has no constant term needs only the rows of those terms.
-        """
-        if self._extensions is None:
-            A, B, C = self.splits()
-            order = np.flatnonzero(B != 0)
-            order = order[np.argsort(A[order], kind="stable")]
-            ptr = np.zeros(self.size + 1, dtype=np.int64)
-            np.cumsum(np.bincount(A[order], minlength=self.size), out=ptr[1:])
-            self._extensions = (ptr, B[order].astype(np.int32), C[order].astype(np.int32))
-        return self._extensions
-
-    def label(self, i: int) -> str:
-        """format_monomial of monomial i, formatted on first use and kept."""
-        text = self._labels.get(i)
-        if text is None:
-            text = self._labels[i] = format_monomial(self.monos[i])
-        return text
+    def labels(self, idx: list[int]) -> list[str]:
+        """format_monomial of each monomial in idx, formatted on first use
+        and kept."""
+        known = self._labels
+        missing = [i for i in idx if i not in known]
+        for i, m in zip(missing, self.monos_at(missing)):
+            known[i] = format_monomial(m)
+        return [known[i] for i in idx]
 
 
 @lru_cache(maxsize=None)
@@ -316,8 +382,7 @@ class TruncatedSeries:
     # -- queries ---------------------------------------------------------------
 
     def coefficient(self, mono: tuple[int, ...]) -> int:
-        space = _space(self.policy)
-        idx = space.index.get(tuple(mono))
+        idx = _space(self.policy).find(tuple(mono))
         if idx is None:
             raise MagnusError(
                 f"monomial {format_monomial(tuple(mono))} is outside the truncation policy"
@@ -329,16 +394,14 @@ class TruncatedSeries:
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Nonzero (monomial, coefficient) pairs in (degree, lex) order."""
-        space = _space(self.policy)
-        for i in np.flatnonzero(self._vec != 0):
-            yield space.monos[int(i)], int(self._vec[int(i)])
+        nz = np.flatnonzero(self._vec != 0)
+        return zip(_space(self.policy).monos_at(nz.tolist()), self._vec[nz].tolist())
 
     def labelled_items(self) -> Iterator[tuple[str, int]]:
         """Nonzero (label, coefficient) pairs in items() order, each label
         the format_monomial string, formatted once per policy."""
-        space = _space(self.policy)
-        for i in np.flatnonzero(self._vec != 0):
-            yield space.label(int(i)), int(self._vec[int(i)])
+        nz = np.flatnonzero(self._vec != 0)
+        return zip(_space(self.policy).labels(nz.tolist()), self._vec[nz].tolist())
 
     @property
     def is_one(self) -> bool:
@@ -417,7 +480,7 @@ def series_from_terms(policy: TruncationPolicy, terms: Mapping[tuple[int, ...], 
     vec = np.zeros(space.size, dtype=object) if big else TruncatedSeries._zeros(policy)
     for mono, c in terms.items():
         mono = tuple(mono)
-        idx = space.index.get(mono)
+        idx = space.find(mono)
         if idx is None:
             raise MagnusError(f"monomial {format_monomial(mono)} is outside the truncation policy")
         vec[idx] = c if big else int(c)
@@ -437,35 +500,76 @@ def _check_policies(s: TruncatedSeries, t: TruncatedSeries) -> None:
 def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product in the quotient ring."""
     _check_policies(s, t)
-    space = _space(s.policy)
-    out, bound = _convolve(s._vec, s._bound, t._vec, t._bound, space.splits(), space.size)
+    out, bound = _convolve(_space(s.policy), s._vec, s._bound, t._vec, t._bound)
     return TruncatedSeries(s.policy, out, bound)
 
 
+# The kernel rule, from timing both paths on 1,700 products recorded from
+# the benchmark's four workloads (numpy 2.4, one core): the pair path has a
+# fixed cost of about 30 numpy calls, 40-60 us, so on policies with fewer
+# than 10,000 split triples (hall's total_degree(4, 5) has 7,737) the
+# dense path won or tied overall; above that a formed pair costs about as
+# much as ten split triples, and the pair path won below one pair per 16
+# triples and lost above one per 8.
+DENSE_BELOW_TRIPLES = 10_000
+PAIR_COST = 10
+
+
+def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
+    """The pairs (a, b) of nonzero terms whose product survives, with the
+    index c of mono_a * mono_b, as arrays (a, b, c); None when the dense
+    path is the cheaper one."""
+    if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
+        return None
+    ia, ib = np.flatnonzero(sv != 0), np.flatnonzero(tv != 0)
+    deg = space.deg
+    # supports are sorted by degree, so the b that fit after a are a prefix of ib
+    count = np.searchsorted(deg[ib], space.max_degree - deg[ia], side="right")
+    total = int(count.sum())
+    if total * PAIR_COST > space.triples:
+        return None
+    a = np.repeat(ia, count)
+    b = ib[np.arange(total) - np.repeat(np.cumsum(count) - count, count)]
+    if space.counts is not None:
+        fit = ((space.counts[a] + space.counts[b] + space.cap_offset) & space.cap_guard) == 0
+        a, b = a[fit], b[fit]
+    codes = space.codes
+    return a, b, np.searchsorted(codes, codes[a] * space.powers[deg[b]] + codes[b])
+
+
 def _convolve(
-    sv: np.ndarray,
-    s_bound: float,
-    tv: np.ndarray,
-    t_bound: float,
-    splits: tuple[np.ndarray, np.ndarray, np.ndarray],
-    size: int,
+    space: _PolicySpace, sv: np.ndarray, s_bound: float, tv: np.ndarray, t_bound: float
 ) -> tuple[np.ndarray, float]:
-    """The vector with sv[a] * tv[b] summed into slot c over the triples
-    (a, b, c) of splits, and a bound on its 1-norm; every product in this
-    module is formed here, on int64 while the bound allows."""
-    A, B, C = splits
+    """The product of the coefficient vectors sv and tv, and a bound on its
+    1-norm; every product in this module is formed here.
+
+    The pair path (see _support_pairs) multiplies only the pairs of nonzero
+    terms that survive, sorts them by the index of their concatenation and
+    sums each run with np.add.reduceat.  The dense path multiplies over
+    every split triple of the policy and sums the triples of each c, which
+    are contiguous in splits(), with np.add.reduceat.  Products and sums
+    are int64 while s_bound * t_bound stays below INT64_SAFE, so no partial
+    sum can wrap, and Python ints otherwise.  The bound returned is the
+    1-norm of the result itself, capped by s_bound * t_bound.
+    """
     est = s_bound * t_bound
-    if est >= INT64_SAFE or sv.dtype == object or tv.dtype == object:
+    wide = est >= INT64_SAFE or sv.dtype == object or tv.dtype == object
+    if wide:
         sv, tv = _to_object(sv), _to_object(tv)
-        out = np.zeros(size, dtype=object)
-        vals = sv[A] * tv[B]
-        for c_idx, val in zip(C, vals):
-            if val:
-                out[c_idx] += val
-        return out, _fresh_bound(out)
-    out = np.zeros(size, dtype=np.int64)
-    np.add.at(out, C, sv[A] * tv[B])
-    return out, min(est, _fresh_bound(out))
+    pairs = _support_pairs(space, sv, tv)
+    if pairs is None:
+        A, B, _ = space.splits()
+        out = np.add.reduceat(sv[A] * tv[B], space.split_heads)
+        return out, _fresh_bound(out) if wide else min(est, _fresh_bound(out))
+    a, b, c = pairs
+    order = np.argsort(c)
+    c, vals = c[order], sv[a[order]] * tv[b[order]]
+    heads = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))[: len(c)]
+    sums = np.add.reduceat(vals, heads)
+    out = np.zeros(space.size, dtype=vals.dtype)
+    out[c[heads]] = sums
+    bound = _fresh_bound(sums)
+    return out, bound if wide else min(est, bound)
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -619,14 +723,11 @@ def in_Jr(w: Word, caps: Sequence[int]) -> bool:
 
 @lru_cache(maxsize=None)
 def _retrunc_map(old: TruncationPolicy, new: TruncationPolicy) -> np.ndarray:
-    old_space, new_space = _space(old), _space(new)
-    out = np.empty(new_space.size, dtype=np.int64)
-    for i, m in enumerate(new_space.monos):
-        j = old_space.index.get(m)
-        if j is None:
-            raise MagnusError("target policy is not a coarsening of the source policy")
-        out[i] = j
-    return out
+    old_codes, new_codes = _space(old).codes, _space(new).codes
+    pos = np.minimum(np.searchsorted(old_codes, new_codes), len(old_codes) - 1)
+    if (old_codes[pos] != new_codes).any():
+        raise MagnusError("target policy is not a coarsening of the source policy")
+    return pos
 
 
 def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSeries:
@@ -668,8 +769,7 @@ class Substitution:
     X_v, one product, and kept; applying the substitution to a series sums
     the scaled images of its monomials.  Monomial images are sparse, so
     they are kept as (indices, values, 1-norm bound), and the product
-    forming m.v runs only over the extension rows of the image of m's
-    terms (a variable image has no constant term).  Do not keep the object
+    forming m.v pairs only their nonzero terms.  Do not keep the object
     beyond the operation.
     """
 
@@ -712,16 +812,10 @@ class Substitution:
         """The image of a monomial times the image of X_v."""
         idx, vals, bound = img
         g = self.variable_images[v - 1]
-        ptr, B, C = self._space.extensions()
-        # the extension rows of every term a of the image, and for each row
-        # the position of its a in idx
-        lo, count = ptr[idx], ptr[idx + 1] - ptr[idx]
-        term = np.repeat(np.arange(len(idx)), count)
-        rows = np.arange(len(term)) + np.repeat(lo - (np.cumsum(count) - count), count)
-        out, out_bound = _convolve(
-            vals, bound, g._vec, g._bound, (term, B[rows], C[rows]), self._space.size
-        )
-        nz = np.flatnonzero(out)
+        vec = np.zeros(self._space.size, dtype=vals.dtype)
+        vec[idx] = vals
+        out, out_bound = _convolve(self._space, vec, bound, g._vec, g._bound)
+        nz = np.flatnonzero(out != 0)
         return nz, out[nz], out_bound
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:

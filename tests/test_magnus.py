@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
+from weldmag import magnus
 from weldmag.magnus import (
     MagnusError,
     Substitution,
@@ -136,6 +137,74 @@ def test_series_mul_matches_naive():
         got = as_dict(series_mul(a, b))
         want = oracle.mul(da, db, pol.max_total_degree, policy_caps(pol))
         assert got == want
+
+
+# codes of rank-1 monomials up to degree 70, or of caps (70, 1), pass int64
+OVERFLOW_POLICIES = [TruncationPolicy.total_degree(1, 70), TruncationPolicy.with_caps(2, (70, 1))]
+
+KERNEL_POLICIES = st.one_of(
+    st.builds(TruncationPolicy.total_degree, st.integers(1, 3), st.integers(1, 4)),
+    st.builds(TruncationPolicy.uniform_caps, st.integers(1, 3), st.integers(1, 2)),
+    st.integers(2, 3).flatmap(
+        lambda n: st.builds(
+            TruncationPolicy.component_caps, st.just(n), st.integers(1, 2), st.integers(1, n)
+        )
+    ),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+        lambda caps: st.builds(
+            TruncationPolicy.with_caps,
+            st.just(len(caps)),
+            st.just(tuple(caps)),
+            st.integers(0, sum(caps) - len(caps)),
+        )
+    ),
+    st.sampled_from(OVERFLOW_POLICIES),
+)
+
+
+def test_series_mul_kernel_matches_oracle(monkeypatch):
+    """Both product paths against the dict oracle, from one-term operands
+    to full support, on int64 and (coefficients times 2**62 + 1, past
+    float precision) on Python ints.  The size floor of the pair path is
+    lifted so that the pair count alone picks the path on these small
+    policies; both paths must run."""
+    monkeypatch.setattr(magnus, "DENSE_BELOW_TRIPLES", 0)
+    paths = {"pairs": 0, "dense": 0}
+    real = magnus._support_pairs
+
+    def recording(space, sv, tv):
+        pairs = real(space, sv, tv)
+        paths["dense" if pairs is None else "pairs"] += 1
+        return pairs
+
+    monkeypatch.setattr(magnus, "_support_pairs", recording)
+
+    @given(
+        KERNEL_POLICIES,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["sparse", "mixed", "full"]),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def check(policy, seed, support, big):
+        rng = random.Random(seed)
+        monos = magnus._space(policy).monos
+
+        def operand(full):
+            picks = monos if full else rng.sample(monos, rng.randint(1, min(len(monos), 12)))
+            return {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in picks}
+
+        da, db = operand(support == "full"), operand(support != "sparse")
+        if big:
+            da = {m: c * (2**62 + 1) for m, c in da.items()}
+        a, b = series_from_terms(policy, da), series_from_terms(policy, db)
+        for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
+            got = series_mul(x, y)
+            assert as_dict(got) == oracle.mul(dx, dy, policy.max_total_degree, policy.caps)
+            assert (got._vec.dtype == object) == big
+
+    check()
+    assert paths["pairs"] and paths["dense"], paths
 
 
 def test_series_add_sub_neg_match_naive():
@@ -334,38 +403,47 @@ def test_substitution_validation():
 
 
 def naive_splits(space):
+    index = {m: i for i, m in enumerate(space.monos)}
     A, B, C = [], [], []
     for c, m in enumerate(space.monos):
         for cut in range(len(m) + 1):
-            A.append(space.index[m[:cut]])
-            B.append(space.index[m[cut:]])
+            A.append(index[m[:cut]])
+            B.append(index[m[cut:]])
             C.append(c)
     return A, B, C
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [
-        TruncationPolicy.total_degree(1, 6),
-        TruncationPolicy.total_degree(2, 1),
-        TruncationPolicy.total_degree(3, 4),
-        TruncationPolicy.uniform_caps(2, 3),
-        TruncationPolicy.uniform_caps(3, 2),
-        TruncationPolicy.component_caps(3, 2, 2),
-        TruncationPolicy.component_caps(4, 1, 1),
-        TruncationPolicy.with_caps(3, (2, 4, 3), 4),
-    ],
-)
+SPACE_POLICIES = [
+    TruncationPolicy.total_degree(1, 6),
+    TruncationPolicy.total_degree(2, 1),
+    TruncationPolicy.total_degree(3, 4),
+    TruncationPolicy.uniform_caps(2, 3),
+    TruncationPolicy.uniform_caps(3, 2),
+    TruncationPolicy.component_caps(3, 2, 2),
+    TruncationPolicy.component_caps(4, 1, 1),
+    TruncationPolicy.with_caps(3, (2, 4, 3), 4),
+    *OVERFLOW_POLICIES,
+]
+
+
+@pytest.mark.parametrize("policy", SPACE_POLICIES)
+def test_policy_space_lists_admitted_monomials_in_order(policy):
+    admitted, layer = [()], [()]
+    while layer:
+        layer = [m + (v,) for m in layer for v in range(1, policy.rank + 1) if policy.admits(m + (v,))]
+        admitted += layer
+    space = _PolicySpace(policy)
+    assert space.monos == sorted(admitted, key=lambda m: (len(m), m))
+    assert [space.find(m) for m in space.monos] == list(range(space.size))
+    assert all(x < y for x, y in zip(space.codes.tolist(), space.codes[1:].tolist()))
+
+
+@pytest.mark.parametrize("policy", SPACE_POLICIES)
 def test_splits_match_naive_construction(policy):
     space = _PolicySpace(policy)
     A, B, C = space.splits()
     assert (A.tolist(), B.tolist(), C.tolist()) == naive_splits(space)
     assert (np.diff(C) >= 0).all()
-    # extension rows: per prefix a, the triples with a nonempty suffix, in order
-    ptr, EB, EC = space.extensions()
-    for a in range(space.size):
-        want = [(b, c) for aa, b, c in zip(A, B, C) if aa == a and b != 0]
-        assert list(zip(EB[ptr[a]:ptr[a + 1]].tolist(), EC[ptr[a]:ptr[a + 1]].tolist())) == want
 
 
 def test_substitution_on_expansions_is_group_substitution():
