@@ -112,14 +112,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     a = gauss.parse(_read_source(args.left))
     b = gauss.parse(_read_source(args.right))
-    # table mode reads its verdict off the witness; the other modes decide
-    # by their own route and build the tables only to report a witness
-    if args.mode == "table":
-        diff = invariants.table_difference(a, b, cfg.k)
-        equal = diff is None
-    else:
-        equal = invariants.k_equal(a, b, cfg.k, mode=args.mode)
-        diff = None if equal else invariants.table_difference(a, b, cfg.k)
+    equal, diff = invariants.compare(a, b, cfg.k, args.mode)
     if cfg.json_out:
         obj = {"k": cfg.k, "mode": args.mode, "result": "equal" if equal else "distinct"}
         if diff is not None:

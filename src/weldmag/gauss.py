@@ -256,13 +256,26 @@ def longitude_series(
 ) -> tuple[TruncatedSeries, ...]:
     """Magnus expansions of the preferred longitudes, one series per component.
 
-    The arcs' expansions are computed by a fixed-point iteration that starts
-    from the meridian series 1 + X_i and rewrites each arc through the
-    conjugation relations; iteration t is exact in all degrees <= t, which
-    the loop asserts, and the loop only terminates on a witnessed fixed
-    point (one further iteration changing nothing).  The longitude of
-    component i is the product of its relation factors (over-arc series to
-    the crossing sign) times the prefix (1+X_i)^(-f_i) for self-writhe f_i.
+    The arcs' expansions are computed by a Jacobi fixed-point iteration that
+    starts from the meridian series 1 + X_i and rewrites each arc through
+    the conjugation relations: sweep t sets a_{i,j+1} from the value of
+    a_{i,j} in this sweep and the over-arc's value after sweep t-1.
+    Iteration t is exact in all degrees <= t, which the loop asserts, and
+    the loop only terminates on a witnessed fixed point (one further sweep
+    changing nothing).  The longitude of component i is the product of its
+    relation factors (over-arc series to the crossing sign) times the
+    prefix (1+X_i)^(-f_i) for self-writhe f_i.
+
+    Sweep 1 evaluates every relation.  From sweep 2 on, a relation is
+    evaluated only if a_{i,j} moved earlier in the same sweep or its
+    over-arc moved in the previous sweep; otherwise both of its inputs are
+    the ones the previous sweep used, so the previous value of a_{i,j+1}
+    is exactly what the evaluation would give, and it is kept.  A sweep
+    that evaluates nothing therefore changes nothing, as a full sweep
+    would.  Each over-arc's inverse is kept until that arc moves; every
+    arc starts at its meridian, whose inverse is expand(a_i^-1).  On a code
+    whose over-arcs are all meridians (a sorted code) the pass costs three
+    products per relation and no series_inverse.
     """
     if isinstance(code, LinkCode):
         raise GaussCodeError("longitudes need a string link; cut the closed link open first")
@@ -277,38 +290,46 @@ def longitude_series(
     qeff = policy.max_total_degree
     pres = wirtinger(code)
     meridians = [expand(Word(n, ((i, 1),)), policy) for i in range(1, n + 1)]
+    meridian_inverses = [expand(Word(n, ((i, -1),)), policy) for i in range(1, n + 1)]
 
     # arcs are keyed by the presentation's 1-based (component, arc) pairs
-    arcs: dict[tuple[int, int], TruncatedSeries] = {
-        (i, j): meridians[i - 1]
-        for i, count in enumerate(pres.arc_counts, start=1)
-        for j in range(1, count + 1)
-    }
+    keys = [
+        (i, j) for i, count in enumerate(pres.arc_counts, start=1) for j in range(1, count + 1)
+    ]
+    arcs = {key: meridians[key[0] - 1] for key in keys}
+    inverses = {key: meridian_inverses[key[0] - 1] for key in keys}
 
-    def factors(table, rel, inv_cache):
-        over = table[rel.over]
-        if rel.over not in inv_cache:
-            inv_cache[rel.over] = series_inverse(over)
-        inv = inv_cache[rel.over]
-        return (over, inv) if rel.sign > 0 else (inv, over)
+    def inverse(key):
+        if key not in inverses:
+            inverses[key] = series_inverse(arcs[key])
+        return inverses[key]
 
+    moved = set(keys)  # before sweep 1, count every arc as moved
     converged = False
     for t in range(1, qeff + 2):
-        inv_cache: dict[tuple[int, int], TruncatedSeries] = {}
-        new = {(i, 1): meridians[i - 1] for i in range(1, n + 1)}
+        new = dict(arcs)
+        moved_now = set()
         for rel in pres.relations:
-            b, inv_b = factors(arcs, rel, inv_cache)
             i, j = rel.component, rel.under_index
-            new[(i, j + 1)] = series_mul(series_mul(inv_b, new[(i, j)]), b)
-        for key, old_series in arcs.items():
-            if not new[key].agrees_through_degree(old_series, min(t - 1, qeff)):
-                raise StabilizationError(
-                    f"arc {key} changed in a degree below iteration {t}"
-                )
-        if all(new[key] == arcs[key] for key in arcs):
+            if (i, j) not in moved_now and rel.over not in moved:
+                continue  # same inputs as in the previous sweep
+            b, inv = arcs[rel.over], inverse(rel.over)
+            if rel.sign < 0:
+                b, inv = inv, b
+            key, value = (i, j + 1), series_mul(series_mul(inv, new[(i, j)]), b)
+            if value != arcs[key]:
+                if not value.agrees_through_degree(arcs[key], min(t - 1, qeff)):
+                    raise StabilizationError(
+                        f"arc {key} changed in a degree below iteration {t}"
+                    )
+                moved_now.add(key)
+            new[key] = value
+        if not moved_now:
             converged = True
             break
-        arcs = new
+        for key in moved_now:
+            inverses.pop(key, None)
+        arcs, moved = new, moved_now
     if not converged:
         raise StabilizationError(f"no fixed point within {qeff + 1} iterations")
 
@@ -316,10 +337,9 @@ def longitude_series(
     for i in range(1, n + 1):
         f_i = self_writhe(code, i)
         out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
-    inv_cache = {}
     for rel in pres.relations:
         # only negative crossings use an inverse here
-        b = arcs[rel.over] if rel.sign > 0 else factors(arcs, rel, inv_cache)[0]
+        b = arcs[rel.over] if rel.sign > 0 else inverse(rel.over)
         out[rel.component - 1] = series_mul(out[rel.component - 1], b)
     return tuple(out)
 

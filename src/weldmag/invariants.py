@@ -14,6 +14,15 @@ by independent computations:
 * action: the induced conjugating substitutions agree on every generator in
   the quotient capping all occurrences at k.
 
+compare decides by one route and, for a distinct pair, reports the first
+index where the tables differ, with one longitude pass per link in every
+mode.  The table route reads both off the milnor_table pass.  The other two
+routes run one pass in the all-caps-k quotient, uniform_caps(n, k), whose
+longitudes are the action's conjugators; the longitude route retruncates
+longitude i to component i's caps above, which is exact because they
+coarsen that quotient, and the witness table is read off the same
+longitudes.
+
 The action of a string link is stored as a KReducedAction holding only one
 conjugator series per component in the all-caps-k quotient, since the
 action sends each meridian to a conjugate of itself.  Each conjugator's
@@ -54,6 +63,7 @@ __all__ = [
     "milnor",
     "InvariantTable",
     "milnor_table",
+    "compare",
     "k_equal",
     "k_equal_witness",
     "table_difference",
@@ -161,11 +171,20 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
         raise InvariantError(f"k must be >= 1, got {k}")
     n = L.n
     cap = n * k if max_len is None else min(max_len, n * k)
-    table = InvariantTable(rank=n, k=k, max_len=cap)
     if cap < 2:
-        return table
+        return InvariantTable(rank=n, k=k, max_len=cap)
     pol = TruncationPolicy.with_caps(n, (k + 1,) * n, cap - 1)
-    for i, lam in enumerate(longitude_series(L, policy=pol), start=1):
+    return _read_table(longitude_series(L, policy=pol), k, cap)
+
+
+def _read_table(longitudes: Sequence[TruncatedSeries], k: int, cap: int) -> InvariantTable:
+    """The entries (J, i) with X_i fewer than k times in J, read off the
+    nonzero monomials J of longitude i.  The longitudes live in a quotient
+    that caps every variable at k + 1 occurrences and the degree at
+    cap - 1, or at any higher degree when cap = n*k: a J read has degree at
+    most n*k - 1 anyway."""
+    table = InvariantTable(rank=len(longitudes), k=k, max_len=cap)
+    for i, lam in enumerate(longitudes, start=1):
         for mono, v in lam.items():
             if mono and mono.count(i) < k:
                 table.entries[mono + (i,)] = v
@@ -183,22 +202,52 @@ def _check_pair(L: StringLinkCode, M: StringLinkCode, k: int) -> int:
     return L.n
 
 
-def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -> bool:
-    """Decide the level-k equivalence by one of three routes that must agree:
-    'table', 'longitude', or 'action'."""
+def compare(
+    L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table"
+) -> tuple[bool, tuple[tuple[int, ...], int, int] | None]:
+    """The level-k verdict reached by one route ('table', 'longitude' or
+    'action'), and for a distinct pair the first table difference as in
+    table_difference; both come from one longitude pass per link.
+
+    The table route reads its verdict off the difference of the two
+    milnor_table tables.  The other two routes take each link's action,
+    whose conjugators are its longitudes from one pass in the all-caps-k
+    quotient uniform_caps(n, k).  The longitude route compares the
+    residues, longitude i retruncated to component_caps(n, k, i): that
+    policy is a coarsening of uniform_caps(n, k), so a residue is what a
+    pass under it would give.  The action route compares the generator
+    images.  Their witness tables are read off the same conjugators: a
+    monomial of the top degree n*k has every variable k times and is never
+    read, so the tables are those of milnor_table.
+    """
     n = _check_pair(L, M, k)
     if mode == "table":
-        return milnor_table(L, k).entries == milnor_table(M, k).entries
+        diff = _first_difference(milnor_table(L, k), milnor_table(M, k))
+        return diff is None, diff
+    if mode not in ("longitude", "action"):
+        raise InvariantError(f"unknown mode {mode!r}")
+    phi, psi = action(L, k), action(M, k)
     if mode == "longitude":
-        for i in range(1, n + 1):
-            pol = TruncationPolicy.component_caps(n, k, i)
-            if longitude_series(L, policy=pol)[i - 1] != longitude_series(M, policy=pol)[i - 1]:
-                return False
-        return True
-    if mode == "action":
-        a, b = action(L, k), action(M, k)
-        return a.images == b.images
-    raise InvariantError(f"unknown mode {mode!r}")
+        equal = phi.residues == psi.residues
+    else:
+        equal = phi.images == psi.images
+    if equal:
+        return True, None
+    tables = [_read_table(x.conjugators, k, n * k) for x in (phi, psi)]
+    return False, _first_difference(*tables)
+
+
+def _first_difference(
+    a: InvariantTable, b: InvariantTable
+) -> tuple[tuple[int, ...], int, int] | None:
+    I = a.first_difference(b)
+    return None if I is None else (I, a.entries.get(I, 0), b.entries.get(I, 0))
+
+
+def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -> bool:
+    """Decide the level-k equivalence by one of three routes that must agree:
+    'table', 'longitude', or 'action' (see compare)."""
+    return compare(L, M, k, mode)[0]
 
 
 def table_difference(
@@ -207,12 +256,7 @@ def table_difference(
     """The first index I (by length, then lexicographically) with r(I) <= k
     where the tables differ, with mu(I) of L and of M; None when they agree.
     One table pass per link."""
-    _check_pair(L, M, k)
-    a, b = milnor_table(L, k), milnor_table(M, k)
-    I = a.first_difference(b)
-    if I is None:
-        return None
-    return I, a.entries.get(I, 0), b.entries.get(I, 0)
+    return compare(L, M, k)[1]
 
 
 def k_equal_witness(L: StringLinkCode, M: StringLinkCode, k: int) -> tuple[int, ...] | None:

@@ -99,6 +99,36 @@ def test_compare_table_mode_runs_one_longitude_pass_per_link(capsys, monkeypatch
     assert len(passes) == 2
 
 
+def test_compare_runs_one_longitude_pass_per_link_in_every_mode(capsys, monkeypatch):
+    passes = []
+    original = invariants.longitude_series
+
+    def counted(code, **kwargs):
+        passes.append(kwargs["policy"])
+        return original(code, **kwargs)
+
+    monkeypatch.setattr(invariants, "longitude_series", counted)
+    # the second code of the equal pair is COMM223 after an OC move
+    moved = "1: U1+ U2- U3+ U4+ U5- U6- U7- U8+ / 2: O3+ O1+ O5- O7- / 3: O2- O4+ O6- O8+"
+    pairs = [
+        (COMM223, moved, "2", "equal\n"),
+        (COMM223, "1: / 2: / 3:", "2", "distinct\nwitness: mu(2,2,3,1) = 1 vs 0\n"),
+        (SINGLE, "1: / 2:", "1", "distinct\nwitness: mu(2,1) = 1 vs 0\n"),
+        (COMM23, COMM223, "2", None),
+    ]
+    for left, right, k, want in pairs:
+        outs = set()
+        for mode in ("table", "longitude", "action"):
+            passes.clear()
+            rc, out, _ = run(capsys, "compare", left, right, "--k", k, "--mode", mode)
+            assert rc == (0 if out == "equal\n" else 1)
+            assert len(passes) == 2, (mode, left, right)
+            if mode != "table":
+                assert len(set(passes)) == 1 and passes[0].caps == (int(k) + 1,) * passes[0].rank
+            outs.add(out)
+        assert len(outs) == 1 and (want is None or outs == {want}), outs
+
+
 def test_degree_flag_is_gone(capsys):
     for command in ("milnor", "table"):
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,94 @@
+"""Property tests of the Gauss-code parser and of the CLI's exit contract."""
+
+import contextlib
+import io
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weldmag.cli import main
+from weldmag.gauss import GaussCodeError, LinkCode, Passage, StringLinkCode, parse, serialize
+
+
+@st.composite
+def codes(draw):
+    """A valid code: each crossing has one Over and one Under passage of one
+    sign, placed anywhere on any component."""
+    n = draw(st.integers(1, 4))
+    comps = [[] for _ in range(n)]
+    cids = draw(st.lists(st.integers(1, 99), max_size=6, unique=True))
+    for cid in cids:
+        sign = draw(st.sampled_from((1, -1)))
+        for role in ("O", "U"):
+            comp = comps[draw(st.integers(0, n - 1))]
+            comp.insert(draw(st.integers(0, len(comp))), Passage(cid, role, sign))
+    cls = draw(st.sampled_from((StringLinkCode, LinkCode)))
+    return cls(tuple(tuple(c) for c in comps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes())
+def test_parse_serialize_round_trip(code):
+    assert parse(serialize(code), closed=isinstance(code, LinkCode)) == code
+
+
+GRAMMAR = "OU0123456789+-:/ \n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(GRAMMAR, max_size=40), st.text(max_size=20)), st.booleans())
+def test_arbitrary_text_parses_or_raises_gauss_code_error(text, closed):
+    try:
+        code = parse(text, closed=closed)
+    except GaussCodeError:
+        return
+    assert isinstance(code, LinkCode if closed else StringLinkCode)
+    assert parse(serialize(code), closed=closed) == code
+
+
+CODE_TEXTS = (
+    "1: U1+ / 2: O1+",
+    "1: / 2:",
+    "1: U1+ U2- U3- U4+ / 2: O1+ O3- / 3: O2- O4+",
+    "1: / 2: / 3:",
+    "1: O1+ U1+",
+    "1: O1+",
+    "",
+)
+# no digits in free text: a free-form number could ask for an unaffordable
+# quotient
+NOISE = st.text("OU+-:/ \n", max_size=12)
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, its code arguments and options, with a bad value or a
+    stray token now and then, in any order."""
+    command = draw(st.sampled_from(("table", "compare", "action")))
+    args = [draw(st.sampled_from(CODE_TEXTS)) for _ in range(2 if command == "compare" else 1)]
+    options = draw(st.lists(st.sampled_from(("--k", "--max-len", "--mode", "--json")), max_size=3))
+    for opt in options:
+        args.append(opt)
+        if opt == "--mode":
+            args.append(draw(st.sampled_from(("table", "longitude", "action", "x"))))
+        elif opt != "--json":
+            args.append(draw(st.sampled_from(("1", "2", "1", "2", "0", "-1", "x"))))
+    if draw(st.integers(0, 4)) == 0:
+        args.append(draw(NOISE))
+    if draw(st.booleans()):
+        args = draw(st.permutations(args))
+    return [command, *args]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_cli_exits_0_1_or_2_and_prints_nothing_on_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            rc = exc.code
+    assert rc in (0, 1, 2), (rc, err.getvalue())
+    if rc == 2:
+        assert out.getvalue() == ""

@@ -2,6 +2,9 @@ import random
 
 import pytest
 
+import _oracle as oracle
+from weldmag import gauss
+from weldmag.arrows import realize_sorted
 from weldmag.gauss import (
     GaussCodeError,
     LinkCode,
@@ -19,8 +22,8 @@ from weldmag.gauss import (
     stack,
     wirtinger,
 )
-from weldmag.magnus import TruncationPolicy, expand
-from weldmag.words import parse_word
+from weldmag.magnus import TruncationPolicy, expand, series_inverse, series_mul
+from weldmag.words import Word, parse_word, word_from_letters
 
 SINGLE = "1: U1+ / 2: O1+"
 # surgery presentation of the commutator word a2 A3 A2 a3 on the first strand
@@ -213,3 +216,123 @@ def test_closure_and_cut():
 def test_passage_tokens():
     assert Passage(3, "U", -1).token() == "U3-"
     assert Passage(12, "O", 1).token() == "O12+"
+
+
+# -- the longitude solver against a plain Jacobi loop ------------------------------
+
+
+def jacobi_longitudes(code, policy, mul=series_mul, inverse=series_inverse):
+    """Longitudes by full Jacobi sweeps: every sweep evaluates every relation
+    from the previous sweep's arcs and inverts each over-arc afresh, until a
+    sweep changes nothing."""
+    n = code.n
+    pres = wirtinger(code)
+    meridians = [expand(Word(n, ((i, 1),)), policy) for i in range(1, n + 1)]
+    arcs = {
+        (i, j): meridians[i - 1]
+        for i, count in enumerate(pres.arc_counts, start=1)
+        for j in range(1, count + 1)
+    }
+    for _ in range(policy.max_total_degree + 1):
+        new = {(i, 1): meridians[i - 1] for i in range(1, n + 1)}
+        for rel in pres.relations:
+            g, g_inv = arcs[rel.over], inverse(arcs[rel.over])
+            if rel.sign < 0:
+                g, g_inv = g_inv, g
+            i, j = rel.component, rel.under_index
+            new[(i, j + 1)] = mul(mul(g_inv, new[(i, j)]), g)
+        if new == arcs:
+            break
+        arcs = new
+    else:
+        raise AssertionError("no fixed point")
+    out = []
+    for i in range(1, n + 1):
+        f_i = self_writhe(code, i)
+        out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
+    for rel in pres.relations:
+        g = arcs[rel.over] if rel.sign > 0 else inverse(arcs[rel.over])
+        out[rel.component - 1] = mul(out[rel.component - 1], g)
+    return tuple(out)
+
+
+def sorted_code(rng, n, crossings):
+    lens = [crossings // n + (i < crossings % n) for i in range(n)]
+    return realize_sorted(
+        [word_from_letters(n, oracle.random_reduced_letters(rng, n, m)) for m in lens]
+    )
+
+
+def moved(rng, code, count):
+    for _ in range(count):
+        kind = rng.choice(("R2insert", "OCswap", "R1insert"))
+        sites = applicable_sites(code, kind)
+        if sites:
+            code = apply_move(code, kind, rng.choice(sites))
+    return code
+
+
+def kinked(code):
+    """An R1 kink of order UO at the top end of component 1: its under
+    passage has its own arc as over-arc, which keeps the iteration going
+    to the degree bound."""
+    return apply_move(code, "R1insert", (1, len(code.components[0]), 1, "UO"))
+
+
+def solver_cases():
+    rng = random.Random(2024)
+    for n, k in ((2, 2), (3, 2), (3, 1)):
+        for _ in range(2):
+            base = sorted_code(rng, n, 4 * n)
+            codes = {
+                "sorted": base,
+                "moved": moved(rng, base, 4),
+                "kinked": kinked(moved(rng, base, 2)),
+                "stacked": stack(sorted_code(rng, n, 2 * n), kinked(base)),
+            }
+            policies = [
+                TruncationPolicy.total_degree(n, n * k),
+                TruncationPolicy.uniform_caps(n, k),
+                TruncationPolicy.component_caps(n, k, rng.randint(1, n)),
+            ]
+            for name, code in codes.items():
+                for pol in policies:
+                    yield name, code, pol
+
+
+def test_longitude_series_matches_full_jacobi_sweeps():
+    kinds = set()
+    for name, code, pol in solver_cases():
+        assert longitude_series(code, policy=pol) == jacobi_longitudes(code, pol), (name, pol)
+        kinds.add(name)
+    assert kinds == {"sorted", "moved", "kinked", "stacked"}
+
+
+def test_sorted_code_costs_three_products_per_relation_and_no_inverse(monkeypatch):
+    counts = {"mul": 0, "inverse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    mul, inverse = counted("mul", series_mul), counted("inverse", series_inverse)
+    monkeypatch.setattr(gauss, "series_mul", mul)
+    monkeypatch.setattr(gauss, "series_inverse", inverse)
+    rng = random.Random(7)
+    for n, k in ((2, 2), (3, 2), (4, 1)):
+        code = sorted_code(rng, n, 5 * n)
+        rels = wirtinger(code).relations
+        assert rels and all(rel.over[1] == 1 for rel in rels)  # over-arcs are meridians
+        pol = TruncationPolicy.uniform_caps(n, k)
+        counts.update(mul=0, inverse=0)
+        lam = longitude_series(code, policy=pol)
+        assert counts == {"mul": 3 * len(rels), "inverse": 0}, (n, k)
+        # the plain loop's two full sweeps and the longitude products form
+        # 5 products per relation, with an inverse per evaluated relation
+        negative = sum(rel.sign < 0 for rel in rels)
+        counts.update(mul=0, inverse=0)
+        assert jacobi_longitudes(code, pol, mul, inverse) == lam
+        assert counts == {"mul": 5 * len(rels), "inverse": 2 * len(rels) + negative}

@@ -201,6 +201,68 @@ def test_k_equal_modes_agree_on_random_pairs():
         assert len(set(answers.values())) == 1, answers
 
 
+def component_passes_agree(L, M, k):
+    """The longitude route from its definition: for each component i, one
+    pass per link under component_caps(n, k, i), comparing longitude i."""
+    for i in range(1, L.n + 1):
+        pol = TruncationPolicy.component_caps(L.n, k, i)
+        if longitude_series(L, policy=pol)[i - 1] != longitude_series(M, policy=pol)[i - 1]:
+            return False
+    return True
+
+
+def refinement_pair(rng, n, k):
+    """Two sorted codes whose words differ only on component i, by the
+    iterated commutator [a_i, [a_i, ... [a_i, a_j]]] with m copies of a_i
+    (j != i).  With m = k every nonconstant term of it has X_i at least k
+    times, so the pair is equal at level k although the longitudes differ
+    in uniform_caps(n, k); with m = k - 1 it shows in component i's
+    refinement alone."""
+    ws = [word_from_letters(n, oracle.random_reduced_letters(rng, n, 3)) for _ in range(n)]
+    i, j = rng.sample(range(1, n + 1), 2)
+    c = generator(n, j)
+    for _ in range(k - rng.randint(0, 1)):
+        c = commutator(generator(n, i), c)
+    bumped = list(ws)
+    bumped[i - 1] = multiply(ws[i - 1], c)
+    return realize_sorted(ws), realize_sorted(bumped)
+
+
+def test_longitude_route_matches_per_component_passes():
+    rng = random.Random(606)
+    seen = set()
+    for trial in range(36):
+        n, k = rng.randint(2, 3), rng.randint(1, 2)
+        style = trial % 4
+        L = random_realized(rng, n, 4)
+        if style == 0:
+            M = random_realized(rng, n, 4)
+        elif style == 1:
+            M = L
+            for kind in ("R2insert", "OCswap", "R1insert"):
+                sites = applicable_sites(M, kind)
+                if sites:
+                    M = apply_move(M, kind, rng.choice(sites))
+        elif style == 2:
+            base = sorted_presentation([generator(n, rng.randint(1, n)) for _ in range(n)])
+            i = rng.randint(1, n)
+            t = leaf(i, twist=rng.choice((1, -1)))
+            for _ in range(k - 1 + rng.randint(0, 1)):
+                t = node(t, leaf(i, conjugator=generator(n, rng.randint(1, n))))
+            L, M = surgery(base), surgery(insert_self_tree(base, i, t))
+        else:
+            L, M = refinement_pair(rng, n, k)
+        want = component_passes_agree(L, M, k)
+        assert k_equal(L, M, k, mode="longitude") is want, (trial, n, k)
+        uniform = TruncationPolicy.uniform_caps(n, k)
+        differ = longitude_series(L, policy=uniform) != longitude_series(M, policy=uniform)
+        seen.add((style, want, differ))
+    # equal pairs whose uniform-caps longitudes differ, and distinct
+    # refinement pairs, both occur
+    assert (3, True, True) in seen and (3, False, True) in seen
+    assert (2, True, True) in seen and (1, True, False) in seen
+
+
 def test_k_equal_witness():
     assert k_equal_witness(SINGLE, TRIVIAL2, 1) == (2, 1)
     assert k_equal_witness(SINGLE, SINGLE, 2) is None
