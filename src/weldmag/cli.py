@@ -17,32 +17,10 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arrows, gauss, hall, invariants, magnus, words
 
-__all__ = ["RunConfig", "main"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Per-invocation settings shared by the subcommand handlers."""
-
-    k: int = 1
-    max_len: int | None = None
-    json_out: bool = False
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            k=getattr(args, "k", 1),
-            max_len=getattr(args, "max_len", None),
-            json_out=getattr(args, "json", False),
-        )
+__all__ = ["main"]
 
 
 def _read_source(arg: str) -> str:
@@ -80,22 +58,24 @@ def _parse_index(text: str) -> tuple[int, ...]:
 
 
 def _cmd_milnor(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
-    if args.index:
-        I = _parse_index(args.index)
-        value = invariants.milnor(code, I)
-        if cfg.json_out:
-            _print_json({"I": list(I), "mu": value})
-        else:
-            print(f"mu({','.join(map(str, I))}) = {value}")
-        return 0
-    return _print_table(code, cfg)
+    if args.index is None:
+        return _print_table(code, 1 if args.k is None else args.k, args.max_len, args.json)
+    for flag, value in (("--k", args.k), ("--max-len", args.max_len)):
+        if value is not None:
+            raise ValueError(f"{flag} has no effect with --index")
+    I = _parse_index(args.index)
+    value = invariants.milnor(code, I)
+    if args.json:
+        _print_json({"I": list(I), "mu": value})
+    else:
+        print(f"mu({','.join(map(str, I))}) = {value}")
+    return 0
 
 
-def _print_table(code: gauss.StringLinkCode, cfg: RunConfig) -> int:
-    table = invariants.milnor_table(code, cfg.k, cfg.max_len)
-    if cfg.json_out:
+def _print_table(code: gauss.StringLinkCode, k: int, max_len: int | None, as_json: bool) -> int:
+    table = invariants.milnor_table(code, k, max_len)
+    if as_json:
         _print_json({"k": table.k, "max_len": table.max_len, "entries": table.to_json_obj()})
     else:
         for line in table.format_lines():
@@ -104,17 +84,15 @@ def _print_table(code: gauss.StringLinkCode, cfg: RunConfig) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    return _print_table(gauss.parse(_read_source(args.code)), cfg)
+    return _print_table(gauss.parse(_read_source(args.code)), args.k, args.max_len, args.json)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     a = gauss.parse(_read_source(args.left))
     b = gauss.parse(_read_source(args.right))
-    equal, diff = invariants.compare(a, b, cfg.k, args.mode)
-    if cfg.json_out:
-        obj = {"k": cfg.k, "mode": args.mode, "result": "equal" if equal else "distinct"}
+    equal, diff = invariants.compare(a, b, args.k, args.mode)
+    if args.json:
+        obj = {"k": args.k, "mode": args.mode, "result": "equal" if equal else "distinct"}
         if diff is not None:
             I, va, vb = diff
             obj["witness"] = {"I": list(I), "left": va, "right": vb}
@@ -128,10 +106,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_action(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
-    phi = invariants.action(code, cfg.k)
-    if cfg.json_out:
+    phi = invariants.action(code, args.k)
+    if args.json:
         _print_json({
             "rank": phi.rank,
             "k": phi.k,
@@ -154,10 +131,9 @@ def _cmd_action(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     ws = arrows.parse_realizer(_read_source(args.words))
     code = arrows.realize_sorted(ws)
-    if cfg.json_out:
+    if args.json:
         _print_json({"code": gauss.serialize(code).splitlines()}, args.output)
     else:
         _emit(gauss.serialize(code), args.output)
@@ -165,12 +141,11 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_hall(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     if args.rank < 1 or args.max_len < 1:
         raise ValueError("rank and max-len must be >= 1")
     basis = hall.generate_basic(args.rank, args.max_len)
     if args.factor is None:
-        if cfg.json_out:
+        if args.json:
             _print_json({"rank": args.rank, "max_len": args.max_len,
                          "basis": [c.bracket() for c in basis]})
         else:
@@ -179,7 +154,7 @@ def _cmd_hall(args: argparse.Namespace) -> int:
         return 0
     w = words.parse_word(args.factor, args.rank)
     exps, certified = hall.hall_factorize(w, args.max_len)
-    if cfg.json_out:
+    if args.json:
         _print_json({"rank": args.rank, "max_len": args.max_len, "certified": certified,
                      "factors": [{"bracket": c.bracket(), "exp": e}
                                  for c, e in zip(basis, exps) if e]})
@@ -192,11 +167,10 @@ def _cmd_hall(args: argparse.Namespace) -> int:
 
 
 def _cmd_moves(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     code = gauss.parse(_read_source(args.code))
     sites = gauss.applicable_sites(code, args.kind)
     if args.apply is None:
-        if cfg.json_out:
+        if args.json:
             _print_json({"kind": args.kind, "sites": [list(s) for s in sites]})
         else:
             for idx, s in enumerate(sites):
@@ -205,7 +179,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     if not 0 <= args.apply < len(sites):
         raise ValueError(f"site number {args.apply} out of range 0..{len(sites) - 1}")
     moved = gauss.apply_move(code, args.kind, sites[args.apply])
-    if cfg.json_out:
+    if args.json:
         _print_json({"kind": args.kind, "site": list(sites[args.apply]),
                      "code": gauss.serialize(moved).splitlines()}, args.output)
     else:
@@ -214,14 +188,13 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 
 
 def _cmd_link_vanishing(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     link = gauss.parse(_read_source(args.code), closed=True)
     basepoints = None
     if args.basepoints:
         basepoints = [int(t) for t in args.basepoints.split(",")]
-    vanishing = invariants.link_vanishing(link, cfg.k, basepoints)
-    if cfg.json_out:
-        _print_json({"k": cfg.k, "result": "vanishing" if vanishing else "non-vanishing"})
+    vanishing = invariants.link_vanishing(link, args.k, basepoints)
+    if args.json:
+        _print_json({"k": args.k, "result": "vanishing" if vanishing else "non-vanishing"})
     else:
         print("vanishing" if vanishing else "non-vanishing")
     return 0 if vanishing else 1
@@ -249,9 +222,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("milnor", help="invariant table, or one mu(I) with --index")
     sp.add_argument("code", help="Gauss-code file or inline text")
-    sp.add_argument("--index", default=None, help="comma-separated index, e.g. 2,1")
+    sp.add_argument("--index", default=None,
+                    help="comma-separated index, e.g. 2,1; takes no --k or --max-len")
     add_common(sp, max_len=True)
-    sp.set_defaults(func=_cmd_milnor)
+    # None tells an explicit --k from the table's default k = 1
+    sp.set_defaults(func=_cmd_milnor, k=None)
 
     sp = sub.add_parser("table", help="nonzero mu(I) with r(I) <= k")
     sp.add_argument("code", help="Gauss-code file or inline text")

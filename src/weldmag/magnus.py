@@ -27,21 +27,21 @@ operation is guarded by a conservative bound on the 1-norm of the result
 anywhere near the int64 range the computation is promoted to an object-dtype
 vector holding Python integers.  Overflow can therefore never wrap silently.
 
-Every product is formed by ``_convolve``, by one of two exact paths.  The
-pair path forms only the pairs (a, b) of nonzero terms whose concatenation
-survives.  Supports are sorted by degree, so the b that fit after a form a
-prefix of the right factor's support, found by one searchsorted; a pair
-that breaks a cap is dropped by one add and mask of packed letter counts;
-the index of a.b is found by a searchsorted of its base-(n+1) code among
-the policy's codes; and the products are summed by sorting on that index
-and np.add.reduceat.  The dense path runs over every split triple (a, b, c)
-of the policy and sums with np.add.reduceat over the triples of each c.  A
-fixed rule in the code picks the dense path on policies with few split
-triples, on operands with more than a tenth as many pairs as triples, and
+Every product is formed by ``_convolve`` as one sum: over index triples
+(a, b, c) with mono_a * mono_b = mono_c, np.add.at adds sv[a] * tv[b]
+into slot c.  The triples come from one of two sources.  The support pairs
+are only the pairs of nonzero terms whose concatenation survives: supports
+are sorted by degree, so the b that fit after a form a prefix of the right
+factor's support, found by one searchsorted; a pair that breaks a cap is
+dropped by one add and mask of packed letter counts; and c is found by a
+searchsorted of the base-(n+1) code of a.b among the policy's codes.  The
+split triples are all (a, b, c) of the policy, read off the same codes.  A
+fixed rule in the code takes the split triples on policies with few of
+them, on operands with more than a tenth as many pairs as triples, and
 where the codes or the packed counts would not fit in int64; the rule
-changes only the speed.  Both paths sum int64 products exactly while the
-1-norm bound stays below INT64_SAFE, and Python-int products beyond it; no
-sum goes through floats.
+changes only the speed.  The sum is exact in int64 while the 1-norm bound
+stays below INT64_SAFE, and in Python ints beyond it; no sum goes through
+floats.
 
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
@@ -166,7 +166,7 @@ class _PolicySpace:
 
     Monomials are listed sorted by (degree, lexicographic), which is also the
     serialization order.  Prefixes and suffixes of surviving monomials always
-    survive, so parent links and concatenation splits stay inside the list.
+    survive, so parents, prefixes and suffixes stay inside the list.
 
     Monomial i is stored as parent[i] (itself without its last letter),
     last[i], deg[i] and codes[i], its letters read as base-(n+1) digits.
@@ -177,9 +177,14 @@ class _PolicySpace:
     letter counts into one int64, X_v's count in bits [w(v-1), wv), with
     w - 1 bits for the count and one guard bit; a pair of monomials breaks a
     cap exactly when counts[a] + counts[b] + cap_offset sets a guard bit.
-    Codes are int64 while (n+1)^q stays below 2^62 and Python ints beyond;
-    products form support pairs only when the codes, and under caps the
-    packed counts, fit in int64 (see _convolve).
+    Codes are int64 while (n+1)^q stays below 2^62 and Python ints beyond,
+    and so are powers[s] = (n+1)^s; products form support pairs only when
+    the codes, and under caps the packed counts, fit in int64 (see
+    _convolve).
+
+    The append map of X_v sends app_src[v] to app_dst[v]: each monomial
+    ending in X_v, in index order and so by degree, from its parent.
+    app_degrees[v] holds its nonempty degree slices as (dst, src) views.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -236,15 +241,19 @@ class _PolicySpace:
                 self.cap_offset = int((((1 << guard) - cap) << shift).sum())
                 self.cap_guard = int(((1 << guard) << shift).sum())
         self.pairs_fit = codes_fit and (caps is None or self.counts is not None)
-        self.powers = base ** np.arange(q + 1, dtype=np.int64) if codes_fit else None
+        self.powers = base ** np.arange(q + 1, dtype=code_type)
 
-        self.app_src, self.app_dst = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        empty = np.empty(0, dtype=np.int64)
+        self.app_src, self.app_dst, self.app_degrees = [empty], [empty], [[]]
         for v in range(1, n + 1):
             dst = np.flatnonzero(self.last == v)
-            self.app_src.append(self.parent[dst])
+            src = self.parent[dst]
+            cuts = np.searchsorted(dst, deg_start).tolist()
+            self.app_src.append(src)
             self.app_dst.append(dst)
+            self.app_degrees.append(
+                [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
 
-        self._div_rows: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._monos: dict[int, tuple[int, ...]] = {0: ()}
         self._labels: dict[int, str] = {}
@@ -279,51 +288,23 @@ class _PolicySpace:
         i = int(np.searchsorted(self.codes, code))
         return i if i < self.size and self.codes[i] == code else None
 
-    def div_rows(self, v: int) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per degree d >= 1: (indices of monomials ending in X_v, their parents)."""
-        rows = self._div_rows.get(v)
-        if rows is None:
-            rows = []
-            for d in range(1, self.max_degree + 1):
-                lo, hi = self.deg_start[d], self.deg_start[d + 1]
-                idx = np.arange(lo, hi, dtype=np.int64)
-                sel = idx[self.last[lo:hi] == v]
-                rows.append((sel, self.parent[sel]))
-            self._div_rows[v] = rows
-        return rows
-
-    @cached_property
-    def split_heads(self) -> np.ndarray:
-        """Position of each monomial's first split triple in splits()."""
-        return np.cumsum(self.deg + 1) - (self.deg + 1)
-
     def splits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All concatenation triples (a, b, c) with mono_a * mono_b = mono_c,
         ordered by c and then by the cut position, so C is non-decreasing.
-
-        The prefix of length d - s of a degree-d monomial is reached by s
-        parent steps, its suffix of length d - s by s drop-first-letter steps.
+        Read off the codes: cutting c before its last s letters leaves codes
+        codes[c] // (n+1)^s and codes[c] % (n+1)^s, found by searchsorted.
         """
         if self._splits is None:
-            n, deg = self.policy.rank, self.deg
-            # drop[i]: index of monomial i without its first letter; built by
-            # degree, since drop(m.v) = drop(m).v
-            child = np.full((self.size, n + 1), -1, dtype=np.int64)
-            for v in range(1, n + 1):
-                child[self.app_src[v], v] = self.app_dst[v]
-            drop = np.zeros(self.size, dtype=np.int64)
-            for d in range(2, self.max_degree + 1):
-                lo, hi = self.deg_start[d], self.deg_start[d + 1]
-                drop[lo:hi] = child[drop[self.parent[lo:hi]], self.last[lo:hi]]
+            codes, deg = self.codes, self.deg
+            run_end = np.cumsum(deg + 1) - 1
             C = np.repeat(np.arange(self.size, dtype=np.int64), deg + 1)
-            cut = np.arange(len(C), dtype=np.int64) - self.split_heads[C]
-            A, B = C.copy(), C.copy()
-            back = deg[C] - cut  # parent steps from c to its prefix
-            for s in range(self.max_degree):
-                sel = back > s
-                A[sel] = self.parent[A[sel]]
-                sel = cut > s
-                B[sel] = drop[B[sel]]
+            A, B = np.empty_like(C), np.empty_like(C)
+            for s, power in enumerate(self.powers):
+                # each monomial of degree >= s, cut before its last s letters
+                lo = self.deg_start[s]
+                at = run_end[lo:] - s
+                A[at] = np.searchsorted(codes, codes[lo:] // power)
+                B[at] = np.searchsorted(codes, codes[lo:] % power)
             self._splits = (A, B, C)
         return self._splits
 
@@ -345,9 +326,7 @@ def _space(policy: TruncationPolicy) -> _PolicySpace:
 def _fresh_bound(vec: np.ndarray) -> float:
     """Upper bound on the 1-norm, safe against float rounding."""
     if vec.dtype == object:
-        total = 0
-        for x in vec:
-            total += abs(x)
+        total = sum(map(abs, vec))
         try:
             return float(total) * (1.0 + 1e-9) + 1.0
         except OverflowError:
@@ -504,21 +483,21 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(s.policy, out, bound)
 
 
-# The kernel rule, from timing both paths on 1,700 products recorded from
-# the benchmark's four workloads (numpy 2.4, one core): the pair path has a
-# fixed cost of about 30 numpy calls, 40-60 us, so on policies with fewer
-# than 10,000 split triples (hall's total_degree(4, 5) has 7,737) the
-# dense path won or tied overall; above that a formed pair costs about as
-# much as ten split triples, and the pair path won below one pair per 16
-# triples and lost above one per 8.
+# The kernel rule, from timing _convolve on each triple source (best of 5,
+# numpy 2.4, one core) in two runs over 2,122 products recorded from the
+# benchmark's four workloads: up to 1,849 split triples the split triples
+# won 2.4-2.5x (support pairs cost a fixed 25-70 us, split triples 12-19
+# us); at hall's 7,737 (total_degree(4, 5)) the two tied within about 10%;
+# from 28,882 on, the support pairs won below one pair per 12 triples, tied
+# up to one per 8 (in one run, one per 4) and lost above that.
 DENSE_BELOW_TRIPLES = 10_000
 PAIR_COST = 10
 
 
 def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
-    """The pairs (a, b) of nonzero terms whose product survives, with the
-    index c of mono_a * mono_b, as arrays (a, b, c); None when the dense
-    path is the cheaper one."""
+    """The index triples (a, b, c) of the pairs of nonzero terms whose
+    product survives, c the index of mono_a * mono_b; None when the split
+    triples of the policy are the cheaper source."""
     if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
         return None
     ia, ib = np.flatnonzero(sv != 0), np.flatnonzero(tv != 0)
@@ -543,32 +522,24 @@ def _convolve(
     """The product of the coefficient vectors sv and tv, and a bound on its
     1-norm; every product in this module is formed here.
 
-    The pair path (see _support_pairs) multiplies only the pairs of nonzero
-    terms that survive, sorts them by the index of their concatenation and
-    sums each run with np.add.reduceat.  The dense path multiplies over
-    every split triple of the policy and sums the triples of each c, which
-    are contiguous in splits(), with np.add.reduceat.  Products and sums
-    are int64 while s_bound * t_bound stays below INT64_SAFE, so no partial
-    sum can wrap, and Python ints otherwise.  The bound returned is the
-    1-norm of the result itself, capped by s_bound * t_bound.
+    One np.add.at adds sv[a] * tv[b] into slot c over the index triples
+    (a, b, c) of the support pairs (see _support_pairs) or, when those are
+    the dearer source, over every split triple of the policy (splits()).
+    Products and sums are int64 while s_bound * t_bound stays below
+    INT64_SAFE, so no partial sum can wrap, and Python ints otherwise.  The
+    bound returned is the 1-norm of the result itself, capped by
+    s_bound * t_bound.
     """
     est = s_bound * t_bound
     wide = est >= INT64_SAFE or sv.dtype == object or tv.dtype == object
     if wide:
         sv, tv = _to_object(sv), _to_object(tv)
-    pairs = _support_pairs(space, sv, tv)
-    if pairs is None:
-        A, B, _ = space.splits()
-        out = np.add.reduceat(sv[A] * tv[B], space.split_heads)
-        return out, _fresh_bound(out) if wide else min(est, _fresh_bound(out))
-    a, b, c = pairs
-    order = np.argsort(c)
-    c, vals = c[order], sv[a[order]] * tv[b[order]]
-    heads = np.flatnonzero(np.concatenate(([True], c[1:] != c[:-1])))[: len(c)]
-    sums = np.add.reduceat(vals, heads)
-    out = np.zeros(space.size, dtype=vals.dtype)
-    out[c[heads]] = sums
-    bound = _fresh_bound(sums)
+    triples = _support_pairs(space, sv, tv)
+    a, b, c = space.splits() if triples is None else triples
+    out = np.zeros(space.size, dtype=sv.dtype)
+    np.add.at(out, c, sv[a] * tv[b])
+    # a product of support pairs is mostly zeros: bound its nonzero terms only
+    bound = _fresh_bound(out if triples is None else out[out != 0])
     return out, bound if wide else min(est, bound)
 
 
@@ -630,9 +601,8 @@ def _div_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
     if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     out = vec.copy()
-    for sel, par in space.div_rows(v):
-        if len(sel):
-            out[sel] -= out[par]
+    for dst, src in space.app_degrees[v]:
+        out[dst] -= out[src]
     return out, est
 
 

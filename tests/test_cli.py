@@ -38,6 +38,23 @@ def test_milnor_table_default(capsys):
     assert out == "mu(2,1) = 1\n"
 
 
+def test_milnor_index_takes_no_k_or_max_len(capsys):
+    for extra, flag in ((["--k", "5"], "--k"), (["--k", "1"], "--k"),
+                        (["--max-len", "1"], "--max-len"), (["--max-len", "1", "--json"], "--max-len")):
+        rc, out, err = run(capsys, "milnor", SINGLE, "--index", "2,1", *extra)
+        assert rc == 2 and out == ""
+        assert err == f"error: {flag} has no effect with --index\n"
+    # without --index both still bound the table, k defaulting to 1
+    rc, out, _ = run(capsys, "milnor", COMM23, "--k", "2", "--max-len", "3")
+    assert rc == 0 and out == run(capsys, "table", COMM23, "--k", "2", "--max-len", "3")[1]
+    rc, out, _ = run(capsys, "milnor", COMM23)
+    assert rc == 0 and out == run(capsys, "table", COMM23, "--k", "1")[1]
+    rc, out, err = run(capsys, "milnor", SINGLE, "--k", "0")
+    assert rc == 2 and out == "" and err == "error: k must be >= 1, got 0\n"
+    rc, out, err = run(capsys, "milnor", SINGLE, "--index", "")
+    assert rc == 2 and out == "" and "bad index list" in err
+
+
 def test_table_text_and_json(capsys):
     rc, out, _ = run(capsys, "table", COMM23, "--k", "2", "--max-len", "3")
     assert rc == 0

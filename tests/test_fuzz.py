@@ -60,19 +60,29 @@ CODE_TEXTS = (
 NOISE = st.text("OU+-:/ \n", max_size=12)
 
 
+# the values of each option that takes one; an option may be drawn for a
+# subcommand that does not take it
+OPTION_VALUES = {
+    "--k": ("1", "2", "1", "2", "0", "-1", "x"),
+    "--max-len": ("1", "2", "1", "2", "0", "-1", "x"),
+    "--mode": ("table", "longitude", "action", "x"),
+    "--index": ("2,1", "1,2,1", "1", "9,1", "-1,2", "x"),
+    "--basepoints": ("0,0", "1,0,2", "2", "-1,0", "x"),
+    "--json": (),
+}
+
+
 @st.composite
 def argvs(draw):
     """A subcommand, its code arguments and options, with a bad value or a
     stray token now and then, in any order."""
-    command = draw(st.sampled_from(("table", "compare", "action")))
+    command = draw(st.sampled_from(("table", "compare", "action", "milnor", "link-vanishing")))
     args = [draw(st.sampled_from(CODE_TEXTS)) for _ in range(2 if command == "compare" else 1)]
-    options = draw(st.lists(st.sampled_from(("--k", "--max-len", "--mode", "--json")), max_size=3))
+    options = draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=3))
     for opt in options:
         args.append(opt)
-        if opt == "--mode":
-            args.append(draw(st.sampled_from(("table", "longitude", "action", "x"))))
-        elif opt != "--json":
-            args.append(draw(st.sampled_from(("1", "2", "1", "2", "0", "-1", "x"))))
+        if OPTION_VALUES[opt]:
+            args.append(draw(st.sampled_from(OPTION_VALUES[opt])))
     if draw(st.integers(0, 4)) == 0:
         args.append(draw(NOISE))
     if draw(st.booleans()):
