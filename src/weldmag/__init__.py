@@ -46,8 +46,6 @@ from .arrows import (
     ArrowError,
     ArrowPresentation,
     CommTree,
-    Slot,
-    expand_letters,
     insert_self_tree,
     leaf,
     node,

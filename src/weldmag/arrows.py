@@ -3,11 +3,12 @@
 Iterated-commutator trees are modeled by the free-group words they spell,
 not by embedded planar diagrams: a leaf carries a generator index, a twist
 sign and an optional conjugator word, an internal node takes the commutator
-of its children (twist inverting the result).  A presentation assigns to
-each component an ordered list of slots; a slot is a sequence of signed,
-conjugator-annotated letters, and surgery turns each fully expanded letter
-(j, e) into one crossing: the Over passage goes to the initial tail zone of
-component j and the Under passage to the head zone of the slot's component.
+of its children (twist inverting the result).  Conjugators appear only on
+tree leaves; tree_word writes them out.  A presentation assigns to each
+component an ordered list of slots, each a reduced word, and surgery turns
+each letter a_j^e of a slot word into one crossing: the Over passage goes
+to the initial tail zone of component j and the Under passage to the head
+zone of the slot's component.
 
 Because every Over passage sits before every Under passage on its
 component, each over-arc is a meridian, and the preferred longitudes of the
@@ -19,17 +20,17 @@ treats as an independent oracle.
 
 Realizer text format: one line per component, ``i: WORD`` in the word token
 syntax (``a2 A3``), with ``-`` standing for the empty word; ``/`` may
-replace newlines.
+replace newlines.  The lines are read by gauss.numbered_lines, the reader
+of the Gauss-code format.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gauss import Passage, StringLinkCode
-from .words import Word, commutator, conjugate, format_word, invert, multiply, parse_word
+from .gauss import Passage, StringLinkCode, numbered_lines
+from .words import Word, commutator, conjugate, format_word, invert, parse_word
 
 __all__ = [
     "ArrowError",
@@ -37,9 +38,6 @@ __all__ = [
     "leaf",
     "node",
     "tree_word",
-    "Slot",
-    "slot_from_word",
-    "expand_letters",
     "ArrowPresentation",
     "sorted_presentation",
     "surgery",
@@ -141,77 +139,21 @@ def tree_word(t: CommTree, rank: int | None = None) -> Word:
 
 
 @dataclass(frozen=True)
-class Slot:
-    """Ordered letters (generator, sign, conjugator or None) attached to one
-    component; the slot word is the product of the conjugated letters."""
-
-    component: int
-    letters: tuple[tuple[int, int, Word | None], ...]
-
-    def __post_init__(self) -> None:
-        for g, s, conj in self.letters:
-            if g < 1:
-                raise ArrowError(f"generator index {g} out of range")
-            if s not in (1, -1):
-                raise ArrowError(f"letter sign must be +1 or -1, got {s!r}")
-            if conj is not None and not isinstance(conj, Word):
-                raise ArrowError("conjugator must be a Word or None")
-
-
-def slot_from_word(component: int, w: Word) -> Slot:
-    letters = tuple((abs(l), 1 if l > 0 else -1, None) for l in w.letters())
-    return Slot(component, letters)
-
-
-def slot_word(s: Slot, rank: int) -> Word:
-    parts = []
-    for g, sign, conj in s.letters:
-        w = Word(rank, ((g, sign),))
-        if conj is not None and len(conj):
-            w = conjugate(w, Word(rank, conj.runs))
-        parts.append(w)
-    return multiply(Word(rank, ()), *parts)
-
-
-def expand_letters(s: Slot) -> tuple[tuple[int, int], ...]:
-    """Reduced letter sequence of the slot word with conjugators written out."""
-    out: list[tuple[int, int]] = []
-
-    def push(g: int, e: int) -> None:
-        if out and out[-1] == (g, -e):
-            out.pop()
-        else:
-            out.append((g, e))
-
-    for g, sign, conj in s.letters:
-        conj_letters = [] if conj is None else [(abs(l), 1 if l > 0 else -1) for l in conj.letters()]
-        for cg, ce in reversed(conj_letters):
-            push(cg, -ce)
-        push(g, sign)
-        for cg, ce in conj_letters:
-            push(cg, ce)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class ArrowPresentation:
-    """Sorted tree presentation: per component, an ordered list of slots."""
+    """Sorted tree presentation: per component, an ordered list of slots,
+    each a reduced word of the presentation's rank."""
 
     rank: int
-    slots: tuple[tuple[Slot, ...], ...]
+    slots: tuple[tuple[Word, ...], ...]
 
     def __post_init__(self) -> None:
         if len(self.slots) != self.rank:
             raise ArrowError(f"need one slot list per component, got {len(self.slots)}")
         for i, row in enumerate(self.slots, start=1):
-            for s in row:
-                if s.component != i:
-                    raise ArrowError(f"slot for component {s.component} filed under {i}")
-                for g, _, conj in s.letters:
-                    if g > self.rank:
-                        raise ArrowError(f"generator index {g} out of range for rank {self.rank}")
-                    if conj is not None and conj.rank != self.rank:
-                        raise ArrowError("conjugator rank does not match the presentation")
+            for w in row:
+                if w.rank != self.rank:
+                    raise ArrowError(f"slot word of component {i} has rank {w.rank}, "
+                                     f"expected {self.rank}")
 
 
 def sorted_presentation(words: Sequence[Word]) -> ArrowPresentation:
@@ -221,22 +163,23 @@ def sorted_presentation(words: Sequence[Word]) -> ArrowPresentation:
     for i, w in enumerate(words, start=1):
         if w.rank != n:
             raise ArrowError(f"word for component {i} has rank {w.rank}, expected {n}")
-        rows.append((slot_from_word(i, w),) if len(w) else ())
+        rows.append((w,) if len(w) else ())
     return ArrowPresentation(n, tuple(rows))
 
 
 def surgery(pres: ArrowPresentation) -> StringLinkCode:
-    """Build the Gauss code: one crossing per expanded slot letter, Over
-    passages collected in tail zones, Under passages in head zones."""
+    """Build the Gauss code: one crossing per slot letter, Over passages
+    collected in tail zones, Under passages in head zones."""
     n = pres.rank
     tails: list[list[Passage]] = [[] for _ in range(n)]
     heads: list[list[Passage]] = [[] for _ in range(n)]
     cid = 0
     for i in range(1, n + 1):
-        for s in pres.slots[i - 1]:
-            for g, eps in expand_letters(s):
+        for w in pres.slots[i - 1]:
+            for letter in w.letters():
                 cid += 1
-                tails[g - 1].append(Passage(cid, "O", eps))
+                eps = 1 if letter > 0 else -1
+                tails[abs(letter) - 1].append(Passage(cid, "O", eps))
                 heads[i - 1].append(Passage(cid, "U", eps))
     return StringLinkCode(tuple(tuple(tails[m] + heads[m]) for m in range(n)))
 
@@ -250,10 +193,11 @@ def realize_sorted(words: Sequence[Word]) -> StringLinkCode:
 def insert_self_tree(
     pres: ArrowPresentation, i: int, t: CommTree, position: int | None = None
 ) -> ArrowPresentation:
-    """Insert a slot carrying tree_word(t) among component i's slots.
+    """Insert tree_word(t) as a slot among component i's slots.
 
-    Every leaf of ``t`` must be labeled i (conjugators are unrestricted), so
-    the inserted word lies in the normal closure of alpha_i.
+    Every leaf of ``t`` must be labeled i (leaf conjugators are
+    unrestricted), so the inserted word lies in the normal closure of
+    alpha_i; surgery spells it out letter by letter like any other slot.
     """
     if not 1 <= i <= pres.rank:
         raise ArrowError(f"component {i} out of range")
@@ -261,12 +205,11 @@ def insert_self_tree(
         if lf.generator != i:
             raise ArrowError(f"leaf label {lf.generator} differs from component {i}")
     w = tree_word(t, rank=pres.rank)
-    new_slot = Slot(i, tuple((abs(l), 1 if l > 0 else -1, None) for l in w.letters()))
     row = list(pres.slots[i - 1])
     pos = len(row) if position is None else position
     if not 0 <= pos <= len(row):
         raise ArrowError(f"slot position {pos} out of range")
-    row.insert(pos, new_slot)
+    row.insert(pos, w)
     rows = list(pres.slots)
     rows[i - 1] = tuple(row)
     return ArrowPresentation(pres.rank, tuple(rows))
@@ -274,33 +217,14 @@ def insert_self_tree(
 
 # -- realizer text format ----------------------------------------------------------
 
-_LINE = re.compile(r"^\s*([0-9]+)\s*:(.*)$")
-
 
 def parse_realizer(text: str) -> tuple[Word, ...]:
     """Parse ``i: WORD`` lines (``-`` = empty word) into one word per component."""
-    chunks = [c for part in text.splitlines() for c in part.split("/")]
-    rows: dict[int, str] = {}
-    for chunk in chunks:
-        if not chunk.strip():
-            continue
-        m = _LINE.match(chunk)
-        if not m:
-            raise ArrowError(f"bad realizer line {chunk.strip()!r}")
-        comp_no = int(m.group(1))
-        if comp_no in rows:
-            raise ArrowError(f"component {comp_no} listed twice")
-        rows[comp_no] = m.group(2).strip()
-    if not rows:
+    bodies = numbered_lines(text, ArrowError, "realizer", str.strip)
+    if not bodies:
         raise ArrowError("empty realizer input")
-    n = len(rows)
-    if sorted(rows) != list(range(1, n + 1)):
-        raise ArrowError(f"component numbers {sorted(rows)} are not 1..{n}")
-    words = []
-    for i in range(1, n + 1):
-        body = rows[i]
-        words.append(Word(n, ()) if body == "-" else parse_word(body, n))
-    return tuple(words)
+    n = len(bodies)
+    return tuple(Word(n, ()) if body == "-" else parse_word(body, n) for body in bodies)
 
 
 def serialize_realizer(words: Sequence[Word]) -> str:

@@ -47,11 +47,11 @@ def _series_pairs(s: magnus.TruncatedSeries) -> list[list]:
     return [[label, c] for label, c in s.labelled_items()]
 
 
-def _parse_index(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise ValueError(f"bad index list {text!r}; expected comma-separated integers") from None
+        raise ValueError(f"bad {what} list {text!r}; expected comma-separated integers") from None
 
 
 # -- handlers ----------------------------------------------------------------------
@@ -64,7 +64,7 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
     for flag, value in (("--k", args.k), ("--max-len", args.max_len)):
         if value is not None:
             raise ValueError(f"{flag} has no effect with --index")
-    I = _parse_index(args.index)
+    I = _parse_ints(args.index, "index")
     value = invariants.milnor(code, I)
     if args.json:
         _print_json({"I": list(I), "mu": value})
@@ -141,8 +141,6 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 
 def _cmd_hall(args: argparse.Namespace) -> int:
-    if args.rank < 1 or args.max_len < 1:
-        raise ValueError("rank and max-len must be >= 1")
     basis = hall.generate_basic(args.rank, args.max_len)
     if args.factor is None:
         if args.json:
@@ -189,9 +187,7 @@ def _cmd_moves(args: argparse.Namespace) -> int:
 
 def _cmd_link_vanishing(args: argparse.Namespace) -> int:
     link = gauss.parse(_read_source(args.code), closed=True)
-    basepoints = None
-    if args.basepoints:
-        basepoints = [int(t) for t in args.basepoints.split(",")]
+    basepoints = _parse_ints(args.basepoints, "basepoint") if args.basepoints else None
     vanishing = invariants.link_vanishing(link, args.k, basepoints)
     if args.json:
         _print_json({"k": args.k, "result": "vanishing" if vanishing else "non-vanishing"})
@@ -212,9 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Milnor invariants of welded string links")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, k=True, max_len=False):
-        if k:
-            sp.add_argument("--k", type=int, default=1, help="filter level k >= 1")
+    def add_common(sp, max_len=False):
+        sp.add_argument("--k", type=int, default=1, help="filter level k >= 1")
         if max_len:
             sp.add_argument("--max-len", type=int, default=None, dest="max_len",
                             help="largest index length to report")

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .magnus import (
     TruncationPolicy,
@@ -54,6 +54,7 @@ __all__ = [
     "LinkCode",
     "WirtingerRelation",
     "WirtingerPresentation",
+    "numbered_lines",
     "parse",
     "serialize",
     "wirtinger",
@@ -143,37 +144,53 @@ _LINE = re.compile(r"^\s*([0-9]+)\s*:(.*)$")
 _PASSAGE = re.compile(r"\s*([OU])\s*([0-9]+)\s*([+-])")
 
 
-def parse(text: str, closed: bool = False) -> StringLinkCode | LinkCode:
-    """Parse the grammar above; ``closed`` selects :class:`LinkCode`."""
-    chunks = [c for part in text.splitlines() for c in part.split("/")]
-    rows: dict[int, tuple[Passage, ...]] = {}
-    for chunk in chunks:
+def numbered_lines(
+    text: str, error: type[ValueError], kind: str, read: Callable[[str], Any]
+) -> list:
+    """``read`` of the body of each ``i: ...`` line of ``text``, in component
+    order 1..n, or [] for blank text; ``/`` may replace a newline.
+
+    A line that is not ``i: ...`` raises ``error`` naming a bad ``kind``
+    line, and so do a component listed twice and numbers other than 1..n.
+    Each body is read as its line is met, so a fault inside a body is
+    reported before the numbering of the lines after it is checked.
+    """
+    rows: dict[int, Any] = {}
+    for chunk in (c for part in text.splitlines() for c in part.split("/")):
         if not chunk.strip():
             continue
         m = _LINE.match(chunk)
         if not m:
-            raise GaussCodeError(f"bad component line {chunk.strip()!r}")
+            raise error(f"bad {kind} line {chunk.strip()!r}")
         comp_no = int(m.group(1))
         if comp_no in rows:
-            raise GaussCodeError(f"component {comp_no} listed twice")
-        rest = m.group(2)
-        passages = []
-        pos = 0
-        while pos < len(rest):
-            pm = _PASSAGE.match(rest, pos)
-            if pm is None:
-                if rest[pos:].strip():
-                    raise GaussCodeError(f"bad passage token {rest[pos:].strip().split()[0]!r}")
-                break
-            passages.append(Passage(int(pm.group(2)), pm.group(1), 1 if pm.group(3) == "+" else -1))
-            pos = pm.end()
-        rows[comp_no] = tuple(passages)
-    if not rows:
-        raise GaussCodeError("empty Gauss code")
+            raise error(f"component {comp_no} listed twice")
+        rows[comp_no] = read(m.group(2))
     n = len(rows)
     if sorted(rows) != list(range(1, n + 1)):
-        raise GaussCodeError(f"component numbers {sorted(rows)} are not 1..{n}")
-    components = tuple(rows[i] for i in range(1, n + 1))
+        raise error(f"component numbers {sorted(rows)} are not 1..{n}")
+    return [rows[i] for i in range(1, n + 1)]
+
+
+def _passages(rest: str) -> tuple[Passage, ...]:
+    passages = []
+    pos = 0
+    while pos < len(rest):
+        pm = _PASSAGE.match(rest, pos)
+        if pm is None:
+            if rest[pos:].strip():
+                raise GaussCodeError(f"bad passage token {rest[pos:].strip().split()[0]!r}")
+            break
+        passages.append(Passage(int(pm.group(2)), pm.group(1), 1 if pm.group(3) == "+" else -1))
+        pos = pm.end()
+    return tuple(passages)
+
+
+def parse(text: str, closed: bool = False) -> StringLinkCode | LinkCode:
+    """Parse the grammar above; ``closed`` selects :class:`LinkCode`."""
+    components = tuple(numbered_lines(text, GaussCodeError, "component", _passages))
+    if not components:
+        raise GaussCodeError("empty Gauss code")
     return LinkCode(components) if closed else StringLinkCode(components)
 
 

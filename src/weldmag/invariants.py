@@ -66,7 +66,6 @@ __all__ = [
     "compare",
     "k_equal",
     "k_equal_witness",
-    "table_difference",
     "KReducedAction",
     "identity_action",
     "action",
@@ -145,11 +144,16 @@ class InvariantTable:
     def to_json_obj(self) -> list[dict]:
         return [{"I": list(I), "mu": v} for I, v in self.items_sorted()]
 
-    def first_difference(self, other: "InvariantTable") -> tuple[int, ...] | None:
+    def first_difference(
+        self, other: "InvariantTable"
+    ) -> tuple[tuple[int, ...], int, int] | None:
+        """The first index I (by length, then lexicographically) where the
+        tables differ, with mu(I) here and in ``other``; None when they agree."""
         keys = set(self.entries) | set(other.entries)
         for I in sorted(keys, key=lambda t: (len(t), t)):
-            if self.entries.get(I, 0) != other.entries.get(I, 0):
-                return I
+            mine, theirs = self.entries.get(I, 0), other.entries.get(I, 0)
+            if mine != theirs:
+                return I, mine, theirs
         return None
 
 
@@ -207,7 +211,8 @@ def compare(
 ) -> tuple[bool, tuple[tuple[int, ...], int, int] | None]:
     """The level-k verdict reached by one route ('table', 'longitude' or
     'action'), and for a distinct pair the first table difference as in
-    table_difference; both come from one longitude pass per link.
+    InvariantTable.first_difference; both come from one longitude pass per
+    link.
 
     The table route reads its verdict off the difference of the two
     milnor_table tables.  The other two routes take each link's action,
@@ -222,7 +227,7 @@ def compare(
     """
     n = _check_pair(L, M, k)
     if mode == "table":
-        diff = _first_difference(milnor_table(L, k), milnor_table(M, k))
+        diff = milnor_table(L, k).first_difference(milnor_table(M, k))
         return diff is None, diff
     if mode not in ("longitude", "action"):
         raise InvariantError(f"unknown mode {mode!r}")
@@ -233,15 +238,8 @@ def compare(
         equal = phi.images == psi.images
     if equal:
         return True, None
-    tables = [_read_table(x.conjugators, k, n * k) for x in (phi, psi)]
-    return False, _first_difference(*tables)
-
-
-def _first_difference(
-    a: InvariantTable, b: InvariantTable
-) -> tuple[tuple[int, ...], int, int] | None:
-    I = a.first_difference(b)
-    return None if I is None else (I, a.entries.get(I, 0), b.entries.get(I, 0))
+    mine, theirs = (_read_table(x.conjugators, k, n * k) for x in (phi, psi))
+    return False, mine.first_difference(theirs)
 
 
 def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -> bool:
@@ -250,18 +248,10 @@ def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -
     return compare(L, M, k, mode)[0]
 
 
-def table_difference(
-    L: StringLinkCode, M: StringLinkCode, k: int
-) -> tuple[tuple[int, ...], int, int] | None:
-    """The first index I (by length, then lexicographically) with r(I) <= k
-    where the tables differ, with mu(I) of L and of M; None when they agree.
-    One table pass per link."""
-    return compare(L, M, k)[1]
-
-
 def k_equal_witness(L: StringLinkCode, M: StringLinkCode, k: int) -> tuple[int, ...] | None:
-    """An index I with r(I) <= k where the tables differ, or None."""
-    diff = table_difference(L, M, k)
+    """The first index I with r(I) <= k where the tables differ, or None;
+    one table pass per link."""
+    diff = compare(L, M, k)[1]
     return None if diff is None else diff[0]
 
 

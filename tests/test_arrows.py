@@ -6,16 +6,12 @@ import _oracle as oracle
 from weldmag.arrows import (
     ArrowError,
     ArrowPresentation,
-    Slot,
-    expand_letters,
     insert_self_tree,
     leaf,
     node,
     parse_realizer,
     realize_sorted,
     serialize_realizer,
-    slot_from_word,
-    slot_word,
     sorted_presentation,
     surgery,
     tree_word,
@@ -77,25 +73,23 @@ def test_tree_degree_counts_leaves():
     assert [l.generator for l in t.leaves()] == [1, 1, 1]
 
 
-def test_expand_letters_examples():
-    s = Slot(1, ((2, 1, generator(3, 3)),))
-    assert expand_letters(s) == ((3, -1), (2, 1), (3, 1))
+def test_surgery_spells_out_conjugated_slot_words():
+    # a2^(a3) = A3 a2 a3: one crossing per letter, Over passages on 3, 2, 3
+    a2, a3 = gens(3, 2, 3)
+    code = surgery(ArrowPresentation(3, ((conjugate(a2, a3),), (), ())))
+    assert serialize(code) == "1: U1- U2+ U3+\n2: O2+\n3: O1- O3+"
 
-    s = slot_from_word(1, commutator(generator(3, 2), generator(3, 3)))
-    assert expand_letters(s) == ((2, 1), (3, -1), (2, -1), (3, 1))
+    # followed by a3 bar, the reduced slot word is A3 a2
+    code = surgery(ArrowPresentation(3, ((multiply(conjugate(a2, a3), invert(a3)),), (), ())))
+    assert serialize(code) == "1: U1- U2+\n2: O2+\n3: O1-"
 
-    assert expand_letters(Slot(1, ())) == ()
-
-
-def test_expand_letters_cancels_conjugator_edges():
-    # a2^(a3) followed by a3 bar: the written-out a3 and A3 collapse
-    s = Slot(1, ((2, 1, generator(3, 3)), (3, -1, None)))
-    assert expand_letters(s) == ((3, -1), (2, 1))
+    assert serialize(surgery(ArrowPresentation(3, ((empty(3),), (), ())))) == "1:\n2:\n3:"
 
 
-def test_slot_word_round_trip():
+def test_sorted_presentation_slot_is_the_word():
     w = parse_word("a2 A3 A2 a3 a1", 3)
-    assert slot_word(slot_from_word(1, w), 3) == w
+    a1 = generator(3, 1)
+    assert sorted_presentation([w, empty(3), a1]).slots == ((w,), (), (a1,))
 
 
 def test_surgery_single_crossing_and_empty():
@@ -149,7 +143,7 @@ def test_cancelling_pair_leaves_longitudes_alone():
     padded = ArrowPresentation(
         3,
         (
-            (Slot(1, ((2, 1, None), (2, -1, None))),) + base.slots[0],
+            (generator(3, 2), invert(generator(3, 2))) + base.slots[0],
             (),
             (),
         ),
@@ -202,7 +196,7 @@ def test_parse_realizer_errors():
 
 
 def test_presentation_validation():
-    with pytest.raises(ArrowError):
-        ArrowPresentation(2, ((Slot(2, ()),), ()))
-    with pytest.raises(ArrowError):
-        ArrowPresentation(2, ((Slot(1, ((3, 1, None),)),), ()))
+    with pytest.raises(ArrowError, match="one slot list per component"):
+        ArrowPresentation(2, ((empty(2),),))
+    with pytest.raises(ArrowError, match="has rank 3, expected 2"):
+        ArrowPresentation(2, ((generator(3, 3),), ()))

@@ -259,6 +259,19 @@ def test_link_vanishing_exit_codes(capsys):
     assert rc == 1 and out == "non-vanishing\n"
 
 
+def test_bad_basepoint_list_exits_2(capsys):
+    rc, out, err = run(capsys, "link-vanishing", SINGLE, "--basepoints", "x")
+    assert rc == 2 and out == ""
+    assert err == "error: bad basepoint list 'x'; expected comma-separated integers\n"
+
+
+def test_hall_bad_sizes_report_the_basis_error(capsys):
+    rc, out, err = run(capsys, "hall", "--rank", "0", "--max-len", "2")
+    assert (rc, out, err) == (2, "", "error: rank must be positive, got 0\n")
+    rc, out, err = run(capsys, "hall", "--rank", "2", "--max-len", "0", "--factor", "a1")
+    assert (rc, out, err) == (2, "", "error: max_len must be at least 1, got 0\n")
+
+
 def test_error_paths_use_stderr(capsys):
     rc, out, err = run(capsys, "table", "1: U9&+ / 2: O9+")
     assert rc == 2

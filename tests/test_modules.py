@@ -1,6 +1,7 @@
-"""Import discipline of the package modules, read from their syntax trees."""
+"""Import and export discipline of the package modules."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -45,6 +46,27 @@ def test_no_environment_reads(path):
             for alias in node.names:
                 if alias.name in ENV_READERS:
                     problems.append(f"line {node.lineno}: from os import {alias.name}")
+    assert not problems, problems
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_all_names_exist(path):
+    """A name left in __all__ after its definition is deleted goes unnoticed
+    otherwise, because nothing imports *."""
+    module = importlib.import_module(f"weldmag.{path.stem}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing, missing
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    problems = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"weldmag.{node.module}").__all__
+            problems += [f"{node.module}.{a.name}" for a in node.names if a.name not in exported]
     assert not problems, problems
 
 
