@@ -73,17 +73,24 @@ def test_tree_degree_counts_leaves():
     assert [l.generator for l in t.leaves()] == [1, 1, 1]
 
 
-def test_surgery_spells_out_conjugated_slot_words():
-    # a2^(a3) = A3 a2 a3: one crossing per letter, Over passages on 3, 2, 3
+def test_expand_letters_examples():
+    # surgery spells each slot word out letter by letter:
+    # a2^(a3) = A3 a2 a3 gives Over passages on 3, 2, 3
     a2, a3 = gens(3, 2, 3)
     code = surgery(ArrowPresentation(3, ((conjugate(a2, a3),), (), ())))
     assert serialize(code) == "1: U1- U2+ U3+\n2: O2+\n3: O1- O3+"
 
-    # followed by a3 bar, the reduced slot word is A3 a2
-    code = surgery(ArrowPresentation(3, ((multiply(conjugate(a2, a3), invert(a3)),), (), ())))
-    assert serialize(code) == "1: U1- U2+\n2: O2+\n3: O1-"
+    code = surgery(ArrowPresentation(3, ((commutator(a2, a3),), (), ())))
+    assert serialize(code) == "1: U1+ U2- U3- U4+\n2: O1+ O3-\n3: O2- O4+"
 
     assert serialize(surgery(ArrowPresentation(3, ((empty(3),), (), ())))) == "1:\n2:\n3:"
+
+
+def test_expand_letters_cancels_conjugator_edges():
+    # a2^(a3) followed by a3 bar: the reduced slot word is A3 a2
+    a2, a3 = gens(3, 2, 3)
+    code = surgery(ArrowPresentation(3, ((multiply(conjugate(a2, a3), invert(a3)),), (), ())))
+    assert serialize(code) == "1: U1- U2+\n2: O2+\n3: O1-"
 
 
 def test_sorted_presentation_slot_is_the_word():
