@@ -10,7 +10,7 @@ presentation realizer (``arrows``) provide independent cross-checks.  The
 """
 
 from .words import Word, WordError, commutator, conjugate, exponent_sum
-from .words import format_word, invert, linear_commutator, multiply, parse_word, reduce
+from .words import format_word, invert, linear_commutator, multiply, parse_word
 from .magnus import (
     MagnusError,
     TruncatedSeries,

@@ -27,8 +27,9 @@ From a code the module derives:
   meridian^{-f_i}, evaluated in the truncated series ring by an iteration
   that reads the relations of that Wirtinger presentation, rewrites arcs
   into meridians one degree at a time and certifies its own stabilization;
-* the diagram moves R1, R2 and OC used by the invariance test suite, the
-  stacking product, and cutting closed links open at chosen basepoints.
+* the diagram moves R1, R2 and OC used by the invariance test suite, each
+  applied exactly at the sites :func:`applicable_sites` lists, the stacking
+  product, and cutting closed links open at chosen basepoints.
 """
 
 from __future__ import annotations
@@ -367,152 +368,98 @@ def longitude_series(
 MOVE_KINDS = ("R1insert", "R1delete", "R2insert", "R2delete", "OCswap")
 
 
-def _fresh_cid(code: StringLinkCode | LinkCode, count: int) -> list[int]:
-    top = 0
-    for comp in code.components:
-        for p in comp:
-            top = max(top, p.cid)
-    return [top + 1 + i for i in range(count)]
-
-
-def _with_component(code, i: int, comp: Sequence[Passage]):
-    comps = list(code.components)
-    comps[i - 1] = tuple(comp)
-    return type(code)(tuple(comps))
-
-
-def _insert(seq: tuple[Passage, ...], pos: int, items: Sequence[Passage]) -> tuple[Passage, ...]:
-    return seq[:pos] + tuple(items) + seq[pos:]
-
-
 def applicable_sites(code: StringLinkCode, kind: str) -> list[tuple]:
     """Every site at which ``kind`` applies, in a fixed deterministic order.
 
-    Site shapes: R1insert (i, pos, sign, order) with order "OU" or "UO";
-    R1delete (i, pos); R2insert (a, pos_a, b, pos_b, sign, swap_u);
-    R2delete (a, pos_a, b, pos_b); OCswap (i, pos).
+    This list is the one rule for where a move applies: :func:`apply_move`
+    takes exactly these sites.  Positions are 0-based; a gap ``pos`` of
+    component i lies before its passage ``pos`` (``len`` is the top end),
+    and a pair ``pos`` is its passages ``pos`` and ``pos + 1``.
+
+    * R1insert (i, pos, sign, order): a kink at any gap, with its passages
+      in ``order`` "OU" or "UO";
+    * R1delete (i, pos): a pair that is the two passages of one crossing;
+    * R2insert (a, pos_a, b, pos_b, sign, swap_u): two Over passages of
+      opposite signs at gap pos_a of component a and their Under passages
+      at a different gap pos_b of component b, in reverse order if
+      ``swap_u``;
+    * R2delete (a, pos_a, b, pos_b): an Over pair of opposite signs and,
+      on a pair that does not overlap it, the Under passages of the same
+      two crossings;
+    * OCswap (i, pos): a pair of two Over passages.
     """
     comps = code.components
-    n = len(comps)
-    sites: list[tuple] = []
+    gaps = [(i, pos) for i, comp in enumerate(comps, start=1) for pos in range(len(comp) + 1)]
+    pairs = [
+        (i, pos, comp[pos], comp[pos + 1])
+        for i, comp in enumerate(comps, start=1)
+        for pos in range(len(comp) - 1)
+    ]
     if kind == "R1insert":
-        for i in range(1, n + 1):
-            for pos in range(len(comps[i - 1]) + 1):
-                for sign in (1, -1):
-                    for order in ("OU", "UO"):
-                        sites.append((i, pos, sign, order))
-    elif kind == "R1delete":
-        for i in range(1, n + 1):
-            comp = comps[i - 1]
-            for pos in range(len(comp) - 1):
-                if comp[pos].cid == comp[pos + 1].cid:
-                    sites.append((i, pos))
-    elif kind == "R2insert":
-        for a in range(1, n + 1):
-            for pos_a in range(len(comps[a - 1]) + 1):
-                for b in range(1, n + 1):
-                    for pos_b in range(len(comps[b - 1]) + 1):
-                        if a == b and pos_a == pos_b:
-                            continue
-                        for sign in (1, -1):
-                            for swap_u in (False, True):
-                                sites.append((a, pos_a, b, pos_b, sign, swap_u))
-    elif kind == "R2delete":
-        for a in range(1, n + 1):
-            ca = comps[a - 1]
-            for pos_a in range(len(ca) - 1):
-                p1, p2 = ca[pos_a], ca[pos_a + 1]
-                if not (p1.role == "O" and p2.role == "O" and p1.sign == -p2.sign):
-                    continue
-                pair = {p1.cid, p2.cid}
-                if len(pair) != 2:
-                    continue
-                for b in range(1, n + 1):
-                    cb = comps[b - 1]
-                    for pos_b in range(len(cb) - 1):
-                        if a == b and abs(pos_a - pos_b) < 2:
-                            continue
-                        q1, q2 = cb[pos_b], cb[pos_b + 1]
-                        if q1.role == "U" and q2.role == "U" and {q1.cid, q2.cid} == pair:
-                            sites.append((a, pos_a, b, pos_b))
-    elif kind == "OCswap":
-        for i in range(1, n + 1):
-            comp = comps[i - 1]
-            for pos in range(len(comp) - 1):
-                if comp[pos].role == "O" and comp[pos + 1].role == "O":
-                    sites.append((i, pos))
-    else:
-        raise GaussCodeError(f"unknown move kind {kind!r}")
-    return sites
+        return [
+            (i, pos, sign, order) for i, pos in gaps for sign in (1, -1) for order in ("OU", "UO")
+        ]
+    if kind == "R1delete":
+        return [(i, pos) for i, pos, p, q in pairs if p.cid == q.cid]
+    if kind == "R2insert":
+        return [
+            (a, pos_a, b, pos_b, sign, swap_u)
+            for a, pos_a in gaps
+            for b, pos_b in gaps
+            if (a, pos_a) != (b, pos_b)
+            for sign in (1, -1)
+            for swap_u in (False, True)
+        ]
+    if kind == "R2delete":
+        # two Over passages of opposite signs belong to two distinct crossings
+        return [
+            (a, pos_a, b, pos_b)
+            for a, pos_a, p1, p2 in pairs
+            if p1.role == p2.role == "O" and p1.sign == -p2.sign
+            for b, pos_b, q1, q2 in pairs
+            if (a != b or abs(pos_a - pos_b) >= 2)
+            and q1.role == q2.role == "U"
+            and {q1.cid, q2.cid} == {p1.cid, p2.cid}
+        ]
+    if kind == "OCswap":
+        return [(i, pos) for i, pos, p, q in pairs if p.role == q.role == "O"]
+    raise GaussCodeError(f"unknown move kind {kind!r}")
 
 
 def apply_move(code: StringLinkCode, kind: str, site: tuple) -> StringLinkCode:
-    """Apply one R1/R2/OC move at a site from :func:`applicable_sites`."""
-    comps = list(code.components)
+    """Apply one R1/R2/OC move at a site that :func:`applicable_sites` lists.
+
+    Any other site raises :class:`GaussCodeError`.  New crossings take the
+    numbers after the largest one in use.
+    """
+    if site not in applicable_sites(code, kind):
+        raise GaussCodeError(f"{kind} does not apply at site {site!r}")
+    comps = [list(comp) for comp in code.components]
+    top = max((p.cid for comp in comps for p in comp), default=0)
+    c, d = top + 1, top + 2
+    # each edit replaces ``drop`` passages of component i from ``pos`` on
     if kind == "R1insert":
         i, pos, sign, order = site
-        (cid,) = _fresh_cid(code, 1)
-        pair = [Passage(cid, order[0], sign), Passage(cid, order[1], sign)]
-        return _with_component(code, i, _insert(comps[i - 1], pos, pair))
-    if kind == "R1delete":
+        edits = [(i, pos, 0, [Passage(c, order[0], sign), Passage(c, order[1], sign)])]
+    elif kind == "R1delete":
         i, pos = site
-        comp = comps[i - 1]
-        if pos + 1 >= len(comp) or comp[pos].cid != comp[pos + 1].cid:
-            raise GaussCodeError(f"no R1 pair at component {i} position {pos}")
-        return _with_component(code, i, comp[:pos] + comp[pos + 2 :])
-    if kind == "R2insert":
+        edits = [(i, pos, 2, [])]
+    elif kind == "R2insert":
         a, pos_a, b, pos_b, sign, swap_u = site
-        c, d = _fresh_cid(code, 2)
         overs = [Passage(c, "O", sign), Passage(d, "O", -sign)]
         unders = [Passage(c, "U", sign), Passage(d, "U", -sign)]
-        if swap_u:
-            unders.reverse()
-        if a == b:
-            if pos_a == pos_b:
-                raise GaussCodeError("overlapping R2 insertion site")
-            comp = comps[a - 1]
-            first, second = sorted(
-                [(pos_a, overs), (pos_b, unders)], key=lambda t: t[0], reverse=True
-            )
-            comp = _insert(comp, first[0], first[1])
-            comp = _insert(comp, second[0], second[1])
-            return _with_component(code, a, comp)
-        comps[a - 1] = _insert(comps[a - 1], pos_a, overs)
-        comps[b - 1] = _insert(comps[b - 1], pos_b, unders)
-        return type(code)(tuple(comps))
-    if kind == "R2delete":
+        edits = [(a, pos_a, 0, overs), (b, pos_b, 0, unders[::-1] if swap_u else unders)]
+    elif kind == "R2delete":
         a, pos_a, b, pos_b = site
-        ca, cb = comps[a - 1], comps[b - 1]
-        try:
-            p1, p2 = ca[pos_a], ca[pos_a + 1]
-            q1, q2 = cb[pos_b], cb[pos_b + 1]
-        except IndexError:
-            raise GaussCodeError("R2delete site out of range") from None
-        if not (
-            p1.role == p2.role == "O"
-            and q1.role == q2.role == "U"
-            and p1.sign == -p2.sign
-            and {p1.cid, p2.cid} == {q1.cid, q2.cid}
-            and p1.cid != p2.cid
-        ):
-            raise GaussCodeError("site does not carry a cancelling R2 pair")
-        if a == b:
-            lo, hi = sorted([pos_a, pos_b])
-            if hi - lo < 2:
-                raise GaussCodeError("overlapping R2 deletion site")
-            comp = ca[:lo] + ca[lo + 2 : hi] + ca[hi + 2 :]
-            return _with_component(code, a, comp)
-        comps[a - 1] = ca[:pos_a] + ca[pos_a + 2 :]
-        comps[b - 1] = cb[:pos_b] + cb[pos_b + 2 :]
-        return type(code)(tuple(comps))
-    if kind == "OCswap":
+        edits = [(a, pos_a, 2, []), (b, pos_b, 2, [])]
+    else:  # OCswap
         i, pos = site
-        comp = comps[i - 1]
-        if pos + 1 >= len(comp) or comp[pos].role != "O" or comp[pos + 1].role != "O":
-            raise GaussCodeError(f"no adjacent Over pair at component {i} position {pos}")
-        comp = comp[:pos] + (comp[pos + 1], comp[pos]) + comp[pos + 2 :]
-        return _with_component(code, i, comp)
-    raise GaussCodeError(f"unknown move kind {kind!r}")
+        edits = [(i, pos, 2, comps[i - 1][pos : pos + 2][::-1])]
+    # the later position first, so that an earlier one on the same
+    # component still points at the passages the site names
+    for i, pos, drop, passages in sorted(edits, key=lambda e: e[1], reverse=True):
+        comps[i - 1][pos : pos + drop] = passages
+    return type(code)(tuple(tuple(comp) for comp in comps))
 
 
 # -- stacking and closing ------------------------------------------------------------

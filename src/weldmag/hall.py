@@ -83,6 +83,7 @@ class BasicCommutator:
     word: Word
     entries: tuple[int, ...]
 
+    @property
     def is_leaf(self) -> bool:
         return self.generator is not None
 

@@ -135,6 +135,7 @@ class InvariantTable:
     def items_sorted(self) -> list[tuple[tuple[int, ...], int]]:
         return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
+    @property
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -392,4 +393,4 @@ def link_vanishing(
     """
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
-    return milnor_table(cut(link, basepoints), k).is_zero()
+    return milnor_table(cut(link, basepoints), k).is_zero

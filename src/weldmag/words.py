@@ -38,7 +38,6 @@ __all__ = [
     "empty",
     "generator",
     "word_from_letters",
-    "reduce",
     "multiply",
     "invert",
     "power",
@@ -76,9 +75,10 @@ class Word:
     """A freely reduced word in F_rank, stored as runs of equal letters.
 
     ``runs`` is a tuple of (generator index, signed multiplicity); generator
-    indices are 1-based.  Instances are immutable and hashable; construct
-    them through the module-level helpers rather than directly when the runs
-    are not known to be reduced.
+    indices are 1-based.  Instances are immutable and hashable.  Runs must
+    already be reduced: a zero multiplicity or two adjacent runs of one
+    generator raise :class:`WordError`, so equal elements are equal words.
+    The module-level helpers reduce what they build.
     """
 
     rank: int
@@ -87,11 +87,15 @@ class Word:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise WordError(f"rank must be positive, got {self.rank}")
+        previous = None
         for gen, mult in self.runs:
             if not 1 <= gen <= self.rank:
                 raise WordError(f"generator a{gen} out of range for rank {self.rank}")
             if mult == 0:
                 raise WordError("zero-multiplicity run in word")
+            if gen == previous:
+                raise WordError(f"adjacent runs of generator a{gen} in word")
+            previous = gen
 
     def letters(self) -> Iterator[int]:
         """Yield single letters as signed generator indices (+g / -g)."""
@@ -103,6 +107,7 @@ class Word:
     def __len__(self) -> int:
         return sum(abs(m) for _, m in self.runs)
 
+    @property
     def is_identity(self) -> bool:
         return not self.runs
 
@@ -130,11 +135,6 @@ def word_from_letters(rank: int, letters: Iterable[int]) -> Word:
             raise WordError("letter 0 is not a generator")
         runs.append((abs(letter), 1 if letter > 0 else -1))
     return Word(rank, _merge_runs(runs))
-
-
-def reduce(w: Word) -> Word:
-    """Free reduction. Words are reduced on construction, so this is a retraction."""
-    return Word(w.rank, _merge_runs(w.runs))
 
 
 def _check_ranks(*ws: Word) -> int:

@@ -1,13 +1,25 @@
-"""Property tests of the Gauss-code parser and of the CLI's exit contract."""
+"""Property tests of the Gauss-code parser, of the move engine and of the
+CLI's exit contract."""
 
 import contextlib
 import io
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weldmag.cli import main
-from weldmag.gauss import GaussCodeError, LinkCode, Passage, StringLinkCode, parse, serialize
+from weldmag.gauss import (
+    MOVE_KINDS,
+    GaussCodeError,
+    LinkCode,
+    Passage,
+    StringLinkCode,
+    applicable_sites,
+    apply_move,
+    parse,
+    serialize,
+)
 
 
 @st.composite
@@ -30,6 +42,42 @@ def codes(draw):
 @given(codes())
 def test_parse_serialize_round_trip(code):
     assert parse(serialize(code), closed=isinstance(code, LinkCode)) == code
+
+
+@st.composite
+def code_and_site(draw):
+    """A code, a move kind and a site of that kind's shape: a listed site
+    now and then, otherwise one with component numbers in 0..n+1 and
+    positions in -1..length+1, inside and outside the ranges."""
+    code, kind = draw(codes()), draw(st.sampled_from(MOVE_KINDS))
+    listed = applicable_sites(code, kind)
+    if listed and draw(st.booleans()):
+        return code, kind, draw(st.sampled_from(listed))
+
+    def place():
+        i = draw(st.integers(0, code.n + 1))
+        length = len(code.components[i - 1]) if 1 <= i <= code.n else 0
+        return i, draw(st.integers(-1, length + 1))
+
+    signs = st.sampled_from((1, -1))
+    if kind == "R1insert":
+        return code, kind, (*place(), draw(signs), draw(st.sampled_from(("OU", "UO"))))
+    if kind == "R2insert":
+        return code, kind, (*place(), *place(), draw(signs), draw(st.booleans()))
+    if kind == "R2delete":
+        return code, kind, (*place(), *place())
+    return code, kind, place()
+
+
+@settings(max_examples=400, deadline=None)
+@given(code_and_site())
+def test_apply_move_takes_exactly_the_listed_sites(case):
+    code, kind, site = case
+    if site in applicable_sites(code, kind):
+        assert isinstance(apply_move(code, kind, site), type(code))
+    else:
+        with pytest.raises(GaussCodeError, match=f"{kind} does not apply at site"):
+            apply_move(code, kind, site)
 
 
 GRAMMAR = "OU0123456789+-:/ \n"

@@ -152,7 +152,7 @@ def test_r1_round_trip():
     assert self_writhe(bigger, 1) == -1
     assert (1, 2) in applicable_sites(bigger, "R1delete")
     assert apply_move(bigger, "R1delete", (1, 2)) == code
-    with pytest.raises(GaussCodeError, match="no R1 pair"):
+    with pytest.raises(GaussCodeError, match=r"R1delete does not apply at site \(1, 0\)"):
         apply_move(code, "R1delete", (1, 0))
 
 
@@ -166,7 +166,7 @@ def test_r2_round_trip():
             if apply_move(bigger, "R2delete", s) == code
         ]
         assert back, site
-    with pytest.raises(GaussCodeError, match="cancelling R2 pair"):
+    with pytest.raises(GaussCodeError, match=r"R2delete does not apply at site \(1, 0, 2, 0\)"):
         apply_move(parse("1: O1+ O2+ / 2: U1+ U2+"), "R2delete", (1, 0, 2, 0))
 
 
@@ -175,7 +175,7 @@ def test_ocswap_is_an_involution():
     swapped = apply_move(code, "OCswap", (2, 0))
     assert swapped != code
     assert apply_move(swapped, "OCswap", (2, 0)) == code
-    with pytest.raises(GaussCodeError, match="no adjacent Over pair"):
+    with pytest.raises(GaussCodeError, match=r"OCswap does not apply at site \(1, 0\)"):
         apply_move(code, "OCswap", (1, 0))
 
 

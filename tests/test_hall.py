@@ -64,7 +64,7 @@ def test_order_and_bracket_strings():
 
 def test_basis_invariants():
     for c in generate_basic(3, 5):
-        if c.is_leaf():
+        if c.is_leaf:
             assert c.length == 1
             continue
         assert c.length == c.left.length + c.right.length

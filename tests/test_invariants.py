@@ -83,7 +83,7 @@ def test_milnor_index_validation():
 
 
 def test_table_trivial_and_single():
-    assert milnor_table(TRIVIAL2, 2).is_zero()
+    assert milnor_table(TRIVIAL2, 2).is_zero
     t = milnor_table(SINGLE, 1)
     assert t.entries == {(2, 1): 1}
     assert t.format_lines() == ["mu(2,1) = 1"]

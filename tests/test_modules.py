@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 
 import pytest
@@ -58,6 +59,24 @@ def test_all_names_exist(path):
     module = importlib.import_module(f"weldmag.{path.stem}")
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_is_attributes_are_properties(path):
+    """A predicate left as a method is truthy as a bound method, so
+    ``assert w.is_identity`` would pass for any word."""
+    module = importlib.import_module(f"weldmag.{path.stem}")
+    problems = []
+    for name in module.__all__:
+        cls = getattr(module, name)
+        if not inspect.isclass(cls):
+            continue
+        for attr in (a for a in dir(cls) if a.startswith("is_")):
+            if not isinstance(inspect.getattr_static(cls, attr), property):
+                problems.append(f"{name}.{attr}")
+    assert not problems, problems
 
 
 def test_package_imports_only_exported_names():
