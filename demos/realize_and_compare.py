@@ -10,7 +10,7 @@ independent routes that must agree.
 
 from weldmag.arrows import realize_sorted
 from weldmag.gauss import parse, serialize
-from weldmag.invariants import k_equal, k_equal_witness, milnor, milnor_table
+from weldmag.invariants import compare, k_equal, milnor, milnor_table
 from weldmag.words import commutator, empty, generator
 
 n = 3
@@ -32,7 +32,7 @@ for k in (1, 2):
     print(f"k={k} equal?", verdicts)
 
 # the witness names one invariant that distinguishes them at k=2
-I = k_equal_witness(L, trivial, 2)
+I = compare(L, trivial, 2)[1][0]
 print(f"witness: mu{I} = {milnor(L, I)} vs {milnor(trivial, I)}")
 
 # the full k=2 table of the realized link

@@ -64,7 +64,6 @@ from .invariants import (
     action_invert,
     identity_action,
     k_equal,
-    k_equal_witness,
     link_vanishing,
     milnor,
     milnor_table,

@@ -21,12 +21,15 @@ basic commutators are linearly independent, which is what makes the
 degree-by-degree factorization below well posed with integer exponents.
 
 The factorization works in the series ring at total degree k: the word is
-expanded once, and each degree's factors are divided off the expansion, so
-no word is ever rewritten and the cost does not follow the exponents.  The
-degree-d exponents come from an integer solve over the principal parts:
-one integer matrix over a common denominator, inverted fraction-free once
-per (rank, degree), a divisibility check by that denominator, and a check
-of every row of the system.  Either check failing raises HallError.
+expanded once and each degree's factors are divided off the expansion, so
+no word is rewritten and the cost does not follow the exponents.  The
+degree-d exponents come from an integer solve over the principal parts,
+inverted fraction-free once per (rank, degree), then a divisibility check
+and a check of every row; either failing raises HallError.  As
+[gamma_d, gamma_d] lies in gamma_2d (Magnus, Karrass and Solitar, ch. 5),
+only degrees d <= k/2 divide with products: at d = 1 the factors form one
+reduced word, at 2 <= d <= k/2 each C^-x is sum_j binom(-x, j) u^j over the
+cached powers of u = expand(C) - 1, and at 2d > k the step is a sum.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .magnus import (
     expand,
     series_from_terms,
     series_mul,
-    series_pow,
+    series_one,
 )
 from .words import Word
 
@@ -111,24 +114,18 @@ def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
         out.append(BasicCommutator(len(out), 1, g, None, None, words.generator(n, g), entries))
     by_len.append(list(out))
     for length in range(2, max_len + 1):
-        candidates: list[tuple[int, int, BasicCommutator, BasicCommutator]] = []
+        candidates: list[tuple[BasicCommutator, BasicCommutator]] = []
         for llen in range(1, length):
             for c in by_len[llen]:
                 for d in by_len[length - llen]:
-                    if c.ordinal >= d.ordinal:
-                        continue
-                    if d.left is not None and d.left.ordinal > c.ordinal:
-                        continue
-                    candidates.append((c.ordinal, d.ordinal, c, d))
-        candidates.sort(key=lambda t: (t[0], t[1]))
-        layer = []
-        for _, _, c, d in candidates:
+                    if c.ordinal < d.ordinal and (d.left is None or d.left.ordinal <= c.ordinal):
+                        candidates.append((c, d))
+        candidates.sort(key=lambda t: (t[0].ordinal, t[1].ordinal))
+        for c, d in candidates:
             word = words.commutator(c.word, d.word)
             entries = tuple(a + b for a, b in zip(c.entries, d.entries))
-            bc = BasicCommutator(len(out), length, None, c, d, word, entries)
-            out.append(bc)
-            layer.append(bc)
-        by_len.append(layer)
+            out.append(BasicCommutator(len(out), length, None, c, d, word, entries))
+        by_len.append(out[len(out) - len(candidates) :])
     return tuple(out)
 
 
@@ -193,13 +190,23 @@ def _fraction_free_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in r[m:]] for r in rows]
 
 
-def _product(a: np.ndarray, a_norm: float, v: np.ndarray) -> np.ndarray:
-    """a @ v exactly: on int64 while a_norm * max|v| bounds every partial
-    sum below the guard, on Python ints beyond it."""
-    if a.dtype != object and v.dtype != object:
-        if a_norm * int(np.abs(v).max(initial=0)) < INT64_SAFE:
-            return a @ v
-    return a.astype(object).dot(v.astype(object))
+def _sparse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
+    """The nonzero entries (rows, cols, values) of a, its row count, and a
+    bound on its largest row 1-norm, safe against float rounding."""
+    rows, cols = np.nonzero(a)
+    sums = np.abs(a).sum(axis=1, dtype=np.float64) if a.dtype != object else [np.inf]
+    return rows, cols, a[rows, cols], len(a), float(np.max(sums, initial=0.0)) * (1.0 + 1e-9) + 1.0
+
+
+def _product(a: tuple, v: np.ndarray) -> np.ndarray:
+    """a @ v exactly for a matrix in _sparse form, summed over its nonzeros:
+    on int64 while its row norm * max|v| bounds every partial sum below the
+    guard, on Python ints beyond it."""
+    rows, cols, vals, nrows, norm = a
+    wide = int(np.abs(v).max(initial=0)) >= INT64_SAFE / norm
+    out = np.zeros(nrows, dtype=object if wide else np.int64)
+    np.add.at(out, rows, vals.astype(out.dtype) * v[cols].astype(out.dtype))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +236,7 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
     in two blocks.  Each block's pivot rows are chosen mod a prime and
     inverted fraction-free; the blocks share one denominator D, so a solve
     is one integer product over the pivot rows, a divisibility check by D,
-    and one product verifying every row.
+    and one product verifying every row, each summed over the nonzeros.
     """
     ncols = cols.shape[1]
     pivots: list[int] = []
@@ -254,20 +261,19 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
     inv = np.zeros((ncols, ncols), dtype=np.int64 if inv_norm < INT64_SAFE else object)
     for j, at, row in inv_rows:
         inv[j, at : at + len(row)] = row
-    # a bound on the largest row 1-norm, safe against float rounding
-    row_sums = np.abs(cols).sum(axis=1, dtype=np.float64)
-    cols_norm = float(row_sums.max(initial=0.0)) * (1.0 + 1e-9) + 1.0
+    inv, cols = _sparse(inv), _sparse(cols)
     pivot_rows = np.array(pivots, dtype=np.int64)
 
     def solve(b: np.ndarray) -> list[int]:
-        y = _product(inv, inv_norm, b[pivot_rows])
+        y = _product(inv, b[pivot_rows])
         frac = np.flatnonzero(y % denom)
         if len(frac):
             num = int(y[frac[0]])
             g = math.gcd(num, denom)
             raise HallError(f"non-integral exponent at degree {d}: {num // g}/{denom // g}")
         x = y // denom
-        bad = np.flatnonzero(_product(cols, cols_norm, x) != b)
+        # rows that no block touches sum to 0, so there b must be 0
+        bad = np.flatnonzero(_product(cols, x) != b)
         if len(bad):
             raise HallError(f"degree-{d} system inconsistent at row {bad[0]}")
         return [int(v) for v in x]
@@ -276,14 +282,18 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 
 
 @lru_cache(maxsize=None)
-def _expansions(n: int, k: int) -> tuple[tuple[TruncatedSeries, TruncatedSeries], ...]:
-    """(expand(c), expand(c^-1)) at total degree k for every c in
-    generate_basic(n, k), so that no factor power needs an inversion."""
+def _powers(n: int, k: int, d: int) -> tuple:
+    """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) for each
+    length-d basic commutator C_c in order, u_c = expand(C_c) - 1 at total
+    degree k."""
     policy = TruncationPolicy.total_degree(n, k)
-    return tuple(
-        (expand(c.word, policy), expand(words.invert(c.word), policy))
-        for c in generate_basic(n, k)
-    )
+    cols = []
+    for c in (c for c in generate_basic(n, d) if c.length == d):
+        p = [expand(c.word, policy) - series_one(policy)]
+        while len(p) < k // d:
+            p.append(series_mul(p[-1], p[0]))
+        cols += [np.concatenate([s.degree_block(e) for e in range(k + 1)]) for s in p]
+    return _sparse(np.stack(cols, axis=1))
 
 
 def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
@@ -295,29 +305,39 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     remainder h provably has no Magnus terms in degrees 1..k (so it lies in
     the (k+1)-st lower central subgroup).
 
-    The work stays in the series ring at total degree k: w is expanded
-    once, and at each degree d the remainder's degree-d block is written in
-    the principal-part basis of the length-d basic commutators by an exact
-    integer solve (a divisibility check, then every row verified).  The
-    remainder is then left-multiplied by the inverse of that degree's
-    product of factor powers, one factor C^-e at a time, each a power of
-    the cached expansion of C or of its inverse.  The cost follows the
-    word's length and not the size of its exponents; ``certified`` reads
-    the remainder's degree blocks 1..k.
+    w is expanded once at total degree k.  At each degree d the remainder
+    1 + r, r of degree >= d, has its degree-d block solved exactly for the
+    exponents x, and is left-multiplied by C_m^-x_m ... C_1^-x_1:
+    at d = 1 by that reduced word's expansion, one product; at
+    2 <= d <= k/2 by each C_c^-x_c = 1 + sum_j binom(-x_c, j) u_c^j, one
+    product per nonzero x_c over the cached powers of u_c = expand(C_c) - 1;
+    at 2d > k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no product.
+    ``certified`` reads the remainder's degree blocks 1..k.
     """
     if k < 1:
         raise HallError(f"k must be at least 1, got {k}")
     n = w.rank
-    solvers = [_degree_solver(n, d) for d in range(1, k + 1)]
-    expansions = _expansions(n, k)
-    rem = expand(w, TruncationPolicy.total_degree(n, k))
+    policy = TruncationPolicy.total_degree(n, k)
+    rem = expand(w, policy)
     exps: list[int] = []
-    for d, solve in enumerate(solvers, start=1):
-        x = solve(rem.degree_block(d))
-        # (C_1^x_1 ... C_m^x_m)^-1 rem = C_m^-x_m (... (C_1^-x_1 rem))
-        for (e_c, e_c_inv), exp in zip(expansions[len(exps) :], x):
-            if exp:
-                rem = series_mul(series_pow(e_c_inv if exp > 0 else e_c, abs(exp)), rem)
+    for d in range(1, k + 1):
+        x = _degree_solver(n, d)(rem.degree_block(d))
         exps.extend(x)
+        if not any(x):
+            continue
+        if 2 * d > k:
+            rem = rem - TruncatedSeries(policy, _product(_powers(n, k, d), np.array(x, dtype=object)))
+        elif d == 1:
+            # distinct generators, so the runs are already reduced
+            runs = tuple((g, -e) for g, e in reversed(list(enumerate(x, start=1))) if e)
+            rem = series_mul(expand(Word(n, runs), policy), rem)
+        else:
+            u, j = _powers(n, k, d), k // d
+            for c, e in enumerate(x):
+                if e:  # binom(-e, i) is the falling factorial of -e over i!
+                    b = np.zeros(len(x) * j, dtype=object)
+                    b[c * j : c * j + j] = [
+                        math.prod(range(-e - i + 1, -e + 1)) // math.factorial(i) for i in range(1, j + 1)]
+                    rem = rem + series_mul(TruncatedSeries(policy, _product(u, b)), rem)
     certified = not any(rem.degree_block_nonzero(d) for d in range(1, k + 1))
     return exps, certified

@@ -65,7 +65,6 @@ __all__ = [
     "milnor_table",
     "compare",
     "k_equal",
-    "k_equal_witness",
     "KReducedAction",
     "identity_action",
     "action",
@@ -247,13 +246,6 @@ def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -
     """Decide the level-k equivalence by one of three routes that must agree:
     'table', 'longitude', or 'action' (see compare)."""
     return compare(L, M, k, mode)[0]
-
-
-def k_equal_witness(L: StringLinkCode, M: StringLinkCode, k: int) -> tuple[int, ...] | None:
-    """The first index I with r(I) <= k where the tables differ, or None;
-    one table pass per link."""
-    diff = compare(L, M, k)[1]
-    return None if diff is None else diff[0]
 
 
 # -- k-reduced free actions --------------------------------------------------------

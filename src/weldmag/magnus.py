@@ -83,7 +83,6 @@ __all__ = [
     "in_Jr",
     "retruncate",
     "Substitution",
-    "substitute_conjugates",
     "format_monomial",
     "format_series",
 ]
@@ -799,12 +798,6 @@ class Substitution:
         for c, (idx, vals, _) in rows:
             out[idx] += c * (_to_object(vals) if wide else vals)
         return TruncatedSeries(self.policy, out)
-
-
-def substitute_conjugates(s: TruncatedSeries, conjugators: Sequence[TruncatedSeries]) -> TruncatedSeries:
-    """Apply the ring endomorphism X_v -> c_v^{-1} X_v c_v to s once; see
-    :class:`Substitution` for applying one substitution to many series."""
-    return Substitution(conjugators)(s)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
-from weldmag import hall, words
+from weldmag import hall, magnus, words
 from weldmag.hall import (
     HallError,
     generate_basic,
@@ -226,8 +226,8 @@ def assert_matches_oracle(w, k, exps):
 
 
 # (rank, k) pairs whose total-degree quotient stays small enough for the
-# dict-based oracle
-SMALL_QUOTIENTS = [(2, 1), (2, 3), (2, 5), (3, 2), (3, 4), (4, 2), (4, 3)]
+# dict-based oracle; (2, 6) sends degree 3 through the binomial powers
+SMALL_QUOTIENTS = [(2, 1), (2, 3), (2, 5), (2, 6), (3, 2), (3, 4), (4, 2), (4, 3)]
 
 
 @given(data=st.data())
@@ -270,6 +270,31 @@ def test_factorize_stays_in_the_series_ring(monkeypatch):
     monkeypatch.setattr(words, "multiply", forbidden)
     assert hall_factorize(w, 5) == want
     assert hall_factorize(again, 5) == expected_again
+
+
+def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
+    """At k = 5 a question makes one product for the degree-1 factors and
+    one per nonzero degree-2 exponent, and no power, once the (rank, k)
+    caches exist."""
+    w = word_from_letters(4, [1, 2, -3, 4, 4, -1, 3, 2, -4, -2, 1])
+    want = hall_factorize(w, 5)
+    degree2 = [e for c, e in zip(generate_basic(4, 5), want[0]) if c.length == 2]
+    calls = []
+    real = hall.series_mul
+
+    def counted(s, t):
+        calls.append(1)
+        return real(s, t)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("series_pow on the per-question path")
+
+    monkeypatch.setattr(hall, "series_mul", counted)
+    monkeypatch.setattr(magnus, "series_pow", forbidden)
+    assert not hasattr(hall, "series_pow")
+    assert hall_factorize(w, 5) == want
+    assert sum(1 for e in degree2 if e) >= 2
+    assert len(calls) <= 1 + sum(1 for e in degree2 if e)
 
 
 # A 20-letter rank-3 word (benchmark/inputs.random_letters, random.Random(4))

@@ -22,9 +22,9 @@ from weldmag.invariants import (
     action_apply,
     action_compose,
     action_invert,
+    compare,
     identity_action,
     k_equal,
-    k_equal_witness,
     link_vanishing,
     milnor,
     milnor_table,
@@ -264,10 +264,10 @@ def test_longitude_route_matches_per_component_passes():
 
 
 def test_k_equal_witness():
-    assert k_equal_witness(SINGLE, TRIVIAL2, 1) == (2, 1)
-    assert k_equal_witness(SINGLE, SINGLE, 2) is None
+    assert compare(SINGLE, TRIVIAL2, 1)[1][0] == (2, 1)
+    assert compare(SINGLE, SINGLE, 2)[1] is None
     code = comm223()
-    w = k_equal_witness(code, TRIVIAL3, 2)
+    w = compare(code, TRIVIAL3, 2)[1][0]
     assert w is not None and milnor(code, w) != 0
 
 

@@ -26,7 +26,6 @@ from weldmag.magnus import (
     series_mul,
     series_one,
     series_pow,
-    substitute_conjugates,
 )
 from weldmag.words import (
     commutator,
@@ -326,7 +325,7 @@ def test_substitute_conjugates_matches_naive():
             w = word_from_letters(rank, oracle.random_reduced_letters(rng, rank, 3))
             conjs.append(expand(w, pol))
             dconjs.append(oracle.expand_letters(list(w.letters()), pol.max_total_degree, pol.caps))
-        got = as_dict(substitute_conjugates(s, conjs))
+        got = as_dict(Substitution(conjs)(s))
         want = oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
         assert got == want
 
@@ -364,7 +363,7 @@ def test_substitution_matches_oracle_on_caps_policies(caps, q, seed, big):
             s = series_from_terms(pol, ds)
         want = oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
         assert as_dict(sub(s)) == want
-        assert as_dict(substitute_conjugates(s, conjs)) == want
+        assert as_dict(Substitution(conjs)(s)) == want
 
 
 def test_substitution_object_path_matches_oracle():
@@ -459,7 +458,7 @@ def test_substitution_on_expansions_is_group_substitution():
             img = conjugate(generator(3, g), cs[g - 1])
             image_parts.append(img if l > 0 else invert(img))
         image_word = multiply(word_from_letters(3, []), *image_parts)
-        lhs = substitute_conjugates(expand(w, pol), [expand(c, pol) for c in cs])
+        lhs = Substitution([expand(c, pol) for c in cs])(expand(w, pol))
         assert lhs == expand(image_word, pol)
 
 
