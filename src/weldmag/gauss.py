@@ -22,11 +22,13 @@ From a code the module derives:
 * the Wirtinger presentation: arcs are maximal runs between Under passages,
   and the j-th Under passage of component i with over-arc generator g and
   sign e contributes the relation a_{i,j+1} = (g^e)^{-1} a_{i,j} (g^e);
-* the preferred longitudes: the word b_{i,1} b_{i,2} ... of conjugating
-  generators met along component i, normalized by the self-writhe prefix
-  meridian^{-f_i}, evaluated in the truncated series ring by an iteration
-  that reads the relations of that Wirtinger presentation, rewrites arcs
-  into meridians one degree at a time and certifies its own stabilization;
+* the preferred longitudes: component i's longitude is the last of the
+  prefix products P_j = meridian^{-f_i} b_{i,1} ... b_{i,j} of the
+  conjugating factors met along it, after the self-writhe correction, in
+  the truncated series ring.  A factor over a meridian is a letter shift;
+  only over-arcs that are not meridians are iterated, each as the
+  conjugate P_j^{-1} a_i P_j, by a fixed-point loop that gains one degree
+  per sweep and certifies its own stabilization;
 * the diagram moves R1, R2 and OC used by the invariance test suite, each
   applied exactly at the sites :func:`applicable_sites` lists, the stacking
   product, and cutting closed links open at chosen basepoints.
@@ -38,13 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .magnus import (
-    TruncationPolicy,
-    TruncatedSeries,
-    expand,
-    series_inverse,
-    series_mul,
-)
+from .magnus import TruncationPolicy, TruncatedSeries, expand, mul_letter, series_mul
 from .words import Word
 
 __all__ = [
@@ -274,26 +270,25 @@ def longitude_series(
 ) -> tuple[TruncatedSeries, ...]:
     """Magnus expansions of the preferred longitudes, one series per component.
 
-    The arcs' expansions are computed by a Jacobi fixed-point iteration that
-    starts from the meridian series 1 + X_i and rewrites each arc through
-    the conjugation relations: sweep t sets a_{i,j+1} from the value of
-    a_{i,j} in this sweep and the over-arc's value after sweep t-1.
-    Iteration t is exact in all degrees <= t, which the loop asserts, and
-    the loop only terminates on a witnessed fixed point (one further sweep
-    changing nothing).  The longitude of component i is the product of its
-    relation factors (over-arc series to the crossing sign) times the
-    prefix (1+X_i)^(-f_i) for self-writhe f_i.
+    Component i's relation factors b_1^e_1, ..., b_R^e_R (over-arc series to
+    the crossing sign) give the prefixes P_j = W_i b_1^e_1 ... b_j^e_j, with
+    W_i = (1+X_i)^(-f_i) for self-writhe f_i; the longitude is P_R, and arc
+    (i, j+1) is P_j^-1 (1+X_i) P_j, as W_i commutes with 1+X_i.  A factor
+    whose over-arc is a meridian is (1+X_v)^(+-1) exactly and costs a
+    letter shift; only the iterated arcs, the over-arcs that are not
+    meridians, cost products.  Each is formed in the powers its factors use
+    as P_j^-1 ((1+X_i)^(+-1) P_j), one product, and P_j^-1 is kept only up
+    to the component's last iterated arc.  A sorted code has no iterated
+    arc: its pass is shifts only, one sweep, no product and no inverse.
 
-    Sweep 1 evaluates every relation.  From sweep 2 on, a relation is
-    evaluated only if a_{i,j} moved earlier in the same sweep or its
-    over-arc moved in the previous sweep; otherwise both of its inputs are
-    the ones the previous sweep used, so the previous value of a_{i,j+1}
-    is exactly what the evaluation would give, and it is kept.  A sweep
-    that evaluates nothing therefore changes nothing, as a full sweep
-    would.  Each over-arc's inverse is kept until that arc moves; every
-    arc starts at its meridian, whose inverse is expand(a_i^-1).  On a code
-    whose over-arcs are all meridians (a sorted code) the pass costs three
-    products per relation and no series_inverse.
+    The iterated arcs are found by a Jacobi fixed-point iteration from
+    their meridians: sweep t reads the values of sweep t-1, so it is exact
+    in all degrees <= t, which the loop asserts on every iterated arc, and
+    the loop ends on a witnessed fixed point, a sweep that changes no
+    iterated arc.  From sweep 2 on, a component is recomputed from its
+    first relation whose over-arc moved in the previous sweep, starting
+    from the prefixes kept before that relation; the factors before it
+    read the same arcs as when those prefixes were formed.
     """
     if isinstance(code, LinkCode):
         raise GaussCodeError("longitudes need a string link; cut the closed link open first")
@@ -306,60 +301,62 @@ def longitude_series(
         raise GaussCodeError(f"policy rank {policy.rank} does not match {n} components")
 
     qeff = policy.max_total_degree
-    pres = wirtinger(code)
-    meridians = [expand(Word(n, ((i, 1),)), policy) for i in range(1, n + 1)]
-    meridian_inverses = [expand(Word(n, ((i, -1),)), policy) for i in range(1, n + 1)]
-
-    # arcs are keyed by the presentation's 1-based (component, arc) pairs
-    keys = [
-        (i, j) for i, count in enumerate(pres.arc_counts, start=1) for j in range(1, count + 1)
-    ]
-    arcs = {key: meridians[key[0] - 1] for key in keys}
-    inverses = {key: meridian_inverses[key[0] - 1] for key in keys}
-
-    def inverse(key):
-        if key not in inverses:
-            inverses[key] = series_inverse(arcs[key])
-        return inverses[key]
-
-    moved = set(keys)  # before sweep 1, count every arc as moved
-    converged = False
+    relations = wirtinger(code).relations
+    comps = [[rel for rel in relations if rel.component == i] for i in range(1, n + 1)]
+    iterated = {rel.over for rel in relations if rel.over[1] > 1}
+    # P_j^-1 is needed for j below the index of component i's last iterated arc
+    last = [max([j - 1 for c, j in iterated if c == i], default=0) for i in range(1, n + 1)]
+    powers: dict = {key: set() for key in iterated}
+    for rel in relations:
+        if rel.over in iterated:
+            powers[rel.over].add(rel.sign)
+            if rel.under_index <= last[rel.component - 1]:
+                powers[rel.over].add(-rel.sign)
+    # arcs[(key, e)] is the arc's series to the power e = +-1, from its meridian
+    arcs = {
+        (key, e): expand(Word(n, ((key[0], e),)), policy) for key, es in powers.items() for e in es
+    }
+    kept = {}  # (i, r) -> (P, P^-1) before relation r of component i
+    out: list = [None] * n
+    moved = iterated
     for t in range(1, qeff + 2):
-        new = dict(arcs)
-        moved_now = set()
-        for rel in pres.relations:
-            i, j = rel.component, rel.under_index
-            if (i, j) not in moved_now and rel.over not in moved:
-                continue  # same inputs as in the previous sweep
-            b, inv = arcs[rel.over], inverse(rel.over)
-            if rel.sign < 0:
-                b, inv = inv, b
-            key, value = (i, j + 1), series_mul(series_mul(inv, new[(i, j)]), b)
-            if value != arcs[key]:
-                if not value.agrees_through_degree(arcs[key], min(t - 1, qeff)):
-                    raise StabilizationError(
-                        f"arc {key} changed in a degree below iteration {t}"
-                    )
-                moved_now.add(key)
-            new[key] = value
+        new, moved_now = dict(arcs), set()
+        for i, rels in enumerate(comps, start=1):
+            if t == 1:
+                f = self_writhe(code, i)
+                start, P = 0, expand(Word(n, ((i, -f),) if f else ()), policy)
+                P_inv = expand(Word(n, ((i, f),) if f else ()), policy) if last[i - 1] else None
+            else:
+                start = next((r for r, rel in enumerate(rels) if rel.over in moved), None)
+                if start is None:
+                    continue  # every factor reads the arcs it read before
+                P, P_inv = kept[(i, start)]
+            for r in range(start, len(rels)):
+                over, e, inverse_too = rels[r].over, rels[r].sign, r < last[i - 1]
+                if over in iterated:
+                    kept[(i, r)] = P, P_inv
+                    P = series_mul(P, arcs[(over, e)])
+                    if inverse_too:
+                        P_inv = series_mul(arcs[(over, -e)], P_inv)
+                else:
+                    P = mul_letter(P, over[0], e)
+                    if inverse_too:
+                        P_inv = mul_letter(P_inv, over[0], -e, left=True)
+                key = (i, r + 2)
+                for e in powers.get(key, ()):
+                    value, old = series_mul(P_inv, mul_letter(P, i, e, left=True)), arcs[(key, e)]
+                    if value != old:
+                        if not value.agrees_through_degree(old, min(t - 1, qeff)):
+                            raise StabilizationError(
+                                f"arc {key} changed in a degree below iteration {t}"
+                            )
+                        moved_now.add(key)
+                    new[(key, e)] = value
+            out[i - 1] = P
         if not moved_now:
-            converged = True
-            break
-        for key in moved_now:
-            inverses.pop(key, None)
+            return tuple(out)
         arcs, moved = new, moved_now
-    if not converged:
-        raise StabilizationError(f"no fixed point within {qeff + 1} iterations")
-
-    out = []
-    for i in range(1, n + 1):
-        f_i = self_writhe(code, i)
-        out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
-    for rel in pres.relations:
-        # only negative crossings use an inverse here
-        b = arcs[rel.over] if rel.sign > 0 else inverse(rel.over)
-        out[rel.component - 1] = series_mul(out[rel.component - 1], b)
-    return tuple(out)
+    raise StabilizationError(f"no fixed point within {qeff + 1} iterations")
 
 
 # -- moves -------------------------------------------------------------------------

@@ -75,7 +75,8 @@ class BasicCommutator:
 
     Leaves have ``generator`` set; inner nodes carry ``left``/``right``.
     ``entries`` counts how many times each generator occurs, which bounds
-    which quotients the commutator can see.
+    which quotients the commutator can see.  ``text`` is the bracket
+    string, formed once from the children's.
     """
 
     ordinal: int
@@ -85,6 +86,7 @@ class BasicCommutator:
     right: "BasicCommutator | None"
     word: Word
     entries: tuple[int, ...]
+    text: str
 
     @property
     def is_leaf(self) -> bool:
@@ -92,9 +94,7 @@ class BasicCommutator:
 
     def bracket(self) -> str:
         """Nested bracket string, e.g. ``[[a1,a2],a2]``."""
-        if self.generator is not None:
-            return f"a{self.generator}"
-        return f"[{self.left.bracket()},{self.right.bracket()}]"
+        return self.text
 
     def __repr__(self) -> str:
         return f"BasicCommutator({self.ordinal}: {self.bracket()})"
@@ -111,7 +111,8 @@ def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
     by_len: list[list[BasicCommutator]] = [[]]
     for g in range(1, n + 1):
         entries = tuple(1 if j == g else 0 for j in range(1, n + 1))
-        out.append(BasicCommutator(len(out), 1, g, None, None, words.generator(n, g), entries))
+        out.append(
+            BasicCommutator(len(out), 1, g, None, None, words.generator(n, g), entries, f"a{g}"))
     by_len.append(list(out))
     for length in range(2, max_len + 1):
         candidates: list[tuple[BasicCommutator, BasicCommutator]] = []
@@ -124,7 +125,8 @@ def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
         for c, d in candidates:
             word = words.commutator(c.word, d.word)
             entries = tuple(a + b for a, b in zip(c.entries, d.entries))
-            out.append(BasicCommutator(len(out), length, None, c, d, word, entries))
+            text = f"[{c.text},{d.text}]"
+            out.append(BasicCommutator(len(out), length, None, c, d, word, entries, text))
         by_len.append(out[len(out) - len(candidates) :])
     return tuple(out)
 
@@ -220,13 +222,15 @@ def _degree_solver(n: int, d: int):
     so the unknowns split into one block per count vector.
     """
     basis = [c for c in generate_basic(n, d) if c.length == d]
-    policy = TruncationPolicy.total_degree(n, d)
-    cols = np.zeros((n**d, len(basis)), dtype=np.int64)
+    # at k = d each u_c of _powers is its degree-d block, the principal part
+    # of C_c, and that block is the last n^d of the policy's monomials
+    rows, cols, vals, nrows, _ = _powers(n, d, d)
+    principal = np.zeros((n**d, len(basis)), dtype=np.int64)
+    principal[rows - (nrows - n**d), cols] = vals
     by_entries: dict[tuple[int, ...], list[int]] = {}
     for j, c in enumerate(basis):
-        cols[:, j] = principal_part(c, policy).degree_block(d)
         by_entries.setdefault(c.entries, []).append(j)
-    return _integer_solver(cols, list(by_entries.values()), d)
+    return _integer_solver(principal, list(by_entries.values()), d)
 
 
 def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
@@ -285,7 +289,7 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 def _powers(n: int, k: int, d: int) -> tuple:
     """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) for each
     length-d basic commutator C_c in order, u_c = expand(C_c) - 1 at total
-    degree k."""
+    degree k.  _degree_solver(n, d) reads its columns off _powers(n, d, d)."""
     policy = TruncationPolicy.total_degree(n, k)
     cols = []
     for c in (c for c in generate_basic(n, d) if c.length == d):

@@ -16,12 +16,13 @@ by independent computations:
 
 compare decides by one route and, for a distinct pair, reports the first
 index where the tables differ, with one longitude pass per link in every
-mode.  The table route reads both off the milnor_table pass.  The other two
-routes run one pass in the all-caps-k quotient, uniform_caps(n, k), whose
-longitudes are the action's conjugators; the longitude route retruncates
-longitude i to component i's caps above, which is exact because they
-coarsen that quotient, and the witness table is read off the same
-longitudes.
+mode.  The table and longitude routes run the milnor_table pass, every
+variable capped at k + 1 occurrences and the degree at n*k - 1; the
+longitude route retruncates longitude i to component i's caps above, which
+is exact because they coarsen that quotient.  The action route runs one
+pass in the all-caps-k quotient, uniform_caps(n, k), whose longitudes are
+the action's conjugators.  Each route reads its witness table off the
+longitudes of its own pass.
 
 The action of a string link is stored as a KReducedAction holding only one
 conjugator series per component in the all-caps-k quotient, since the
@@ -177,8 +178,12 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     cap = n * k if max_len is None else min(max_len, n * k)
     if cap < 2:
         return InvariantTable(rank=n, k=k, max_len=cap)
-    pol = TruncationPolicy.with_caps(n, (k + 1,) * n, cap - 1)
-    return _read_table(longitude_series(L, policy=pol), k, cap)
+    return _read_table(longitude_series(L, policy=_table_policy(n, k, cap)), k, cap)
+
+
+def _table_policy(n: int, k: int, cap: int) -> TruncationPolicy:
+    """Every variable capped at k + 1 occurrences and the degree at cap - 1."""
+    return TruncationPolicy.with_caps(n, (k + 1,) * n, cap - 1)
 
 
 def _read_table(longitudes: Sequence[TruncatedSeries], k: int, cap: int) -> InvariantTable:
@@ -215,30 +220,38 @@ def compare(
     link.
 
     The table route reads its verdict off the difference of the two
-    milnor_table tables.  The other two routes take each link's action,
-    whose conjugators are its longitudes from one pass in the all-caps-k
-    quotient uniform_caps(n, k).  The longitude route compares the
-    residues, longitude i retruncated to component_caps(n, k, i): that
-    policy is a coarsening of uniform_caps(n, k), so a residue is what a
-    pass under it would give.  The action route compares the generator
-    images.  Their witness tables are read off the same conjugators: a
-    monomial of the top degree n*k has every variable k times and is never
-    read, so the tables are those of milnor_table.
+    milnor_table tables.  The longitude route takes the longitudes of the
+    same pass, every variable capped at k + 1 and the degree at n*k - 1,
+    and compares the residues, longitude i retruncated to
+    component_caps(n, k, i): that policy is a coarsening of the pass's, so
+    a residue is what a pass under it would give.  The action route takes
+    each link's action, whose conjugators are its longitudes from one pass
+    in the all-caps-k quotient uniform_caps(n, k), and compares the
+    generator images.  Both read their witness tables off the longitudes of
+    their pass: a monomial of the top degree n*k has every variable k times
+    and is never read, so the tables are those of milnor_table.
     """
     n = _check_pair(L, M, k)
     if mode == "table":
         diff = milnor_table(L, k).first_difference(milnor_table(M, k))
         return diff is None, diff
-    if mode not in ("longitude", "action"):
-        raise InvariantError(f"unknown mode {mode!r}")
-    phi, psi = action(L, k), action(M, k)
     if mode == "longitude":
-        equal = phi.residues == psi.residues
-    else:
+        pol = _table_policy(n, k, n * k)
+        lams = [longitude_series(X, policy=pol) for X in (L, M)]
+        residues = [
+            [retruncate(lam, TruncationPolicy.component_caps(n, k, i)) for i, lam in enumerate(x, 1)]
+            for x in lams
+        ]
+        equal = residues[0] == residues[1]
+    elif mode == "action":
+        phi, psi = action(L, k), action(M, k)
         equal = phi.images == psi.images
+        lams = [phi.conjugators, psi.conjugators]
+    else:
+        raise InvariantError(f"unknown mode {mode!r}")
     if equal:
         return True, None
-    mine, theirs = (_read_table(x.conjugators, k, n * k) for x in (phi, psi))
+    mine, theirs = (_read_table(x, k, n * k) for x in lams)
     return False, mine.first_difference(theirs)
 
 

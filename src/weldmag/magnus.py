@@ -46,7 +46,9 @@ floats.
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
 trivial, degree-truncation permitting, which is what makes every membership
-test in this package a finite exact computation.
+test in this package a finite exact computation.  Multiplying a series by
+the image of a_v^m, on either side, is a letter shift (mul_letter), not a
+product.
 
 The conjugating substitution X_v -> c_v^{-1} X_v c_v that a string link's
 action induces is a :class:`Substitution`, built once per operation from
@@ -77,6 +79,7 @@ __all__ = [
     "series_mul",
     "series_inverse",
     "series_pow",
+    "mul_letter",
     "expand",
     "coefficient",
     "lcs_lower_bound",
@@ -181,9 +184,11 @@ class _PolicySpace:
     the codes, and under caps the packed counts, fit in int64 (see
     _convolve).
 
-    The append map of X_v sends app_src[v] to app_dst[v]: each monomial
-    ending in X_v, in index order and so by degree, from its parent.
-    app_degrees[v] holds its nonempty degree slices as (dst, src) views.
+    A letter map of X_v is (src, dst, slices): it sends src to dst, and
+    slices holds its nonempty degree slices as (dst, src) views.  The
+    append map append[v] takes each monomial ending in X_v, in index order
+    and so by degree, from its parent; the prepend map prepend[v], built on
+    first use, takes each monomial starting with X_v from its suffix.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -242,20 +247,28 @@ class _PolicySpace:
         self.pairs_fit = codes_fit and (caps is None or self.counts is not None)
         self.powers = base ** np.arange(q + 1, dtype=code_type)
 
-        empty = np.empty(0, dtype=np.int64)
-        self.app_src, self.app_dst, self.app_degrees = [empty], [empty], [[]]
-        for v in range(1, n + 1):
-            dst = np.flatnonzero(self.last == v)
-            src = self.parent[dst]
-            cuts = np.searchsorted(dst, deg_start).tolist()
-            self.app_src.append(src)
-            self.app_dst.append(dst)
-            self.app_degrees.append(
-                [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
+        self.append = [None] + [
+            self._letter_map(dst, self.parent[dst])
+            for dst in (np.flatnonzero(self.last == v) for v in range(1, n + 1))]
 
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._monos: dict[int, tuple[int, ...]] = {0: ()}
         self._labels: dict[int, str] = {}
+
+    def _letter_map(self, dst: np.ndarray, src: np.ndarray) -> tuple:
+        cuts = np.searchsorted(dst, self.deg_start).tolist()
+        return src, dst, [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+    @cached_property
+    def prepend(self) -> list:
+        # a monomial of degree d >= 1 is its first letter times its suffix
+        lo = self.deg_start[1]
+        codes, place = self.codes[lo:], self.powers[self.deg[lo:] - 1]
+        first = (codes // place).astype(np.int64)
+        suffix = np.searchsorted(self.codes, codes % place)
+        return [None] + [
+            self._letter_map(lo + at, suffix[at])
+            for at in (np.flatnonzero(first == v) for v in range(1, self.policy.rank + 1))]
 
     def monos_at(self, idx: Iterable[int]) -> list[tuple[int, ...]]:
         """The monomials at the indices idx as tuples of letters, each
@@ -583,24 +596,25 @@ def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
 # -- expansion of words -------------------------------------------------------
 
 
-def _mul_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
-    """vec * (1 + X_v)."""
+def _mul_one_letter(letter_map: tuple, vec: np.ndarray, bound: float):
+    """vec times (1 + X_v), on the side of X_v's letter map."""
     est = 2.0 * bound
     if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     out = vec.copy()
-    src, dst = space.app_src[v], space.app_dst[v]
+    src, dst, _ = letter_map
     out[dst] += vec[src]
     return out, est
 
 
-def _div_one_letter(space: _PolicySpace, vec: np.ndarray, bound: float, v: int):
-    """vec * (1 + X_v)^{-1}, by degree-increasing back substitution."""
+def _div_one_letter(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, bound: float):
+    """vec times (1 + X_v)^{-1}, on the side of X_v's letter map, by
+    degree-increasing back substitution."""
     est = bound * (space.max_degree + 1)
     if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
     out = vec.copy()
-    for dst, src in space.app_degrees[v]:
+    for dst, src in letter_map[2]:
         out[dst] -= out[src]
     return out, est
 
@@ -613,28 +627,38 @@ def _binomial_coeffs(mult: int, dmax: int) -> list[int]:
     return [(-1) ** d * math.comb(m + d - 1, d) for d in range(dmax + 1)]
 
 
-def _mul_run(space: _PolicySpace, vec: np.ndarray, bound: float, v: int, mult: int):
-    """vec * (1 + X_v)^mult for any integer mult."""
+def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, bound: float, mult: int):
+    """vec times (1 + X_v)^mult for any integer mult, on the side of X_v's
+    letter map."""
     if mult == 1:
-        return _mul_one_letter(space, vec, bound, v)
+        return _mul_one_letter(letter_map, vec, bound)
     if mult == -1:
-        return _div_one_letter(space, vec, bound, v)
+        return _div_one_letter(space, letter_map, vec, bound)
     coeffs = _binomial_coeffs(mult, space.max_degree)
     est = bound * float(sum(abs(c) for c in coeffs))
     if est >= INT64_SAFE and vec.dtype != object:
         vec = _to_object(vec)
-    src_dst = (space.app_src[v], space.app_dst[v])
+    src, dst, _ = letter_map
     out = vec * coeffs[0]
     term = vec
     for c in coeffs[1:]:
         shifted = np.zeros_like(term)
-        shifted[src_dst[1]] = term[src_dst[0]]
+        shifted[dst] = term[src]
         term = shifted
         if not (term != 0).any():
             break
         if c:
             out = out + term * c
     return out, est
+
+
+def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
+    """s * (1 + X_v)^mult, or (1 + X_v)^mult * s when ``left``: the Magnus
+    image of a_v^mult applied by letter shifts, with no product."""
+    space = _space(s.policy)
+    letter_map = space.prepend[v] if left else space.append[v]
+    vec, bound = _mul_run(space, letter_map, s._vec, s._bound, mult)
+    return TruncatedSeries(s.policy, vec, min(bound, _fresh_bound(vec)))
 
 
 def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
@@ -650,7 +674,7 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     vec[0] = 1
     bound = 2.0
     for g, mult in w.runs:
-        vec, bound = _mul_run(space, vec, bound, g, mult)
+        vec, bound = _mul_run(space, space.append[g], vec, bound, mult)
         # keep the running bound tight so long words stay on the fast path
         bound = min(bound, _fresh_bound(vec))
     return TruncatedSeries(policy, vec, bound)
@@ -713,8 +737,9 @@ def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSer
 def _times_variable(s: TruncatedSeries, v: int) -> TruncatedSeries:
     """s * X_v: each monomial gains X_v at its end, or drops out."""
     space = _space(s.policy)
+    src, dst, _ = space.append[v]
     out = np.zeros_like(s._vec)
-    out[space.app_dst[v]] = s._vec[space.app_src[v]]
+    out[dst] = s._vec[src]
     return TruncatedSeries(s.policy, out, s._bound)
 
 

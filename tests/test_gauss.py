@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle as oracle
-from weldmag import gauss
+from weldmag import gauss, magnus
 from weldmag.arrows import realize_sorted
 from weldmag.gauss import (
     GaussCodeError,
@@ -23,7 +25,7 @@ from weldmag.gauss import (
     wirtinger,
 )
 from weldmag.magnus import TruncationPolicy, expand, series_inverse, series_mul
-from weldmag.words import Word, parse_word, word_from_letters
+from weldmag.words import Word, generator, parse_word, word_from_letters
 
 SINGLE = "1: U1+ / 2: O1+"
 # surgery presentation of the commutator word a2 A3 A2 a3 on the first strand
@@ -308,7 +310,9 @@ def test_longitude_series_matches_full_jacobi_sweeps():
     assert kinds == {"sorted", "moved", "kinked", "stacked"}
 
 
-def test_sorted_code_costs_three_products_per_relation_and_no_inverse(monkeypatch):
+def counting(monkeypatch):
+    """Counts of series_mul as gauss binds it and of every series_inverse,
+    with the counting wrappers to hand to jacobi_longitudes."""
     counts = {"mul": 0, "inverse": 0}
 
     def counted(name, fn):
@@ -320,7 +324,13 @@ def test_sorted_code_costs_three_products_per_relation_and_no_inverse(monkeypatc
 
     mul, inverse = counted("mul", series_mul), counted("inverse", series_inverse)
     monkeypatch.setattr(gauss, "series_mul", mul)
-    monkeypatch.setattr(gauss, "series_inverse", inverse)
+    monkeypatch.setattr(magnus, "series_inverse", inverse)
+    return counts, mul, inverse
+
+
+def test_sorted_code_costs_no_product_and_no_inverse(monkeypatch):
+    counts, mul, inverse = counting(monkeypatch)
+    assert not hasattr(gauss, "series_inverse")
     rng = random.Random(7)
     for n, k in ((2, 2), (3, 2), (4, 1)):
         code = sorted_code(rng, n, 5 * n)
@@ -329,10 +339,62 @@ def test_sorted_code_costs_three_products_per_relation_and_no_inverse(monkeypatc
         pol = TruncationPolicy.uniform_caps(n, k)
         counts.update(mul=0, inverse=0)
         lam = longitude_series(code, policy=pol)
-        assert counts == {"mul": 3 * len(rels), "inverse": 0}, (n, k)
+        assert counts == {"mul": 0, "inverse": 0}, (n, k)
         # the plain loop's two full sweeps and the longitude products form
         # 5 products per relation, with an inverse per evaluated relation
         negative = sum(rel.sign < 0 for rel in rels)
         counts.update(mul=0, inverse=0)
         assert jacobi_longitudes(code, pol, mul, inverse) == lam
         assert counts == {"mul": 5 * len(rels), "inverse": 2 * len(rels) + negative}
+
+
+def test_kink_costs_two_products_per_arc_power_per_sweep(monkeypatch):
+    """A kink on a sorted code iterates one arc b, the kink's own over-arc,
+    and P and P^-1 read it in both powers.  Each sweep forms b and b^-1,
+    one product each, and applies them to P and P^-1, one product each:
+    four products per sweep, two per power of the iterated arc formed, and
+    no inverse.  The sweeps are counted independently: b_t is the kink
+    relation's conjugate b_(t-1)^-1 a b_(t-1) of the arc a below the kink,
+    and the pass stops at the first sweep that changes it."""
+    counts, _, _ = counting(monkeypatch)
+    rng = random.Random(11)
+    seen = set()
+    for n, k in ((2, 2), (3, 2), (3, 1)):
+        code = sorted_code(rng, n, 3 * n)
+        for pol in (TruncationPolicy.total_degree(n, n * k), TruncationPolicy.uniform_caps(n, k)):
+            lam = jacobi_longitudes(code, pol)[0]  # the prefix below the kink
+            a = series_mul(series_mul(series_inverse(lam), expand(generator(n, 1), pol)), lam)
+            b, sweeps = expand(generator(n, 1), pol), 1
+            while (c := series_mul(series_mul(series_inverse(b), a), b)) != b:
+                b, sweeps = c, sweeps + 1
+            counts.update(mul=0, inverse=0)
+            assert longitude_series(kinked(code), policy=pol) == jacobi_longitudes(kinked(code), pol)
+            assert counts == {"mul": 4 * sweeps, "inverse": 0}, (n, k, pol)
+            seen.add(sweeps)
+    assert max(seen) >= 5  # the kink keeps the iteration going
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(((2, 1), (2, 2), (3, 1), (3, 2))),
+    st.sampled_from(("moved", "kinked", "stacked")),
+    st.sampled_from(("total_degree", "uniform_caps", "component_caps")),
+)
+def test_prefix_pass_matches_jacobi_on_random_codes(seed, nk, kind, policy_kind):
+    rng = random.Random(seed)
+    n, k = nk
+    base = sorted_code(rng, n, rng.randint(n, 3 * n))
+    if kind == "moved":
+        code = moved(rng, base, rng.randint(1, 4))
+    elif kind == "kinked":
+        code = kinked(moved(rng, base, rng.randint(0, 2)))
+    else:
+        code = stack(kinked(sorted_code(rng, n, n + 1)), moved(rng, base, rng.randint(0, 2)))
+    if policy_kind == "total_degree":
+        pol = TruncationPolicy.total_degree(n, rng.randint(1, n * k))
+    elif policy_kind == "uniform_caps":
+        pol = TruncationPolicy.uniform_caps(n, k)
+    else:
+        pol = TruncationPolicy.component_caps(n, k, rng.randint(1, n))
+    assert longitude_series(code, policy=pol) == jacobi_longitudes(code, pol)

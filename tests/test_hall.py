@@ -55,6 +55,10 @@ def test_order_and_bracket_strings():
         "[a2,[a1,[a1,a2]]]",
         "[a2,[a2,[a1,a2]]]",
     ]
+    # each bracket string is its children's, and repr shows it
+    for c in generate_basic(3, 5):
+        want = f"a{c.generator}" if c.is_leaf else f"[{c.left.bracket()},{c.right.bracket()}]"
+        assert c.bracket() == want and repr(c) == f"BasicCommutator({c.ordinal}: {want})"
     # ordinals are just positions, and lengths never decrease
     basis = generate_basic(3, 4)
     assert [c.ordinal for c in basis] == list(range(len(basis)))
@@ -295,6 +299,30 @@ def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
     assert hall_factorize(w, 5) == want
     assert sum(1 for e in degree2 if e) >= 2
     assert len(calls) <= 1 + sum(1 for e in degree2 if e)
+
+
+def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):
+    """Building the solvers and the powers for one (rank, k) expands no
+    commutator word twice at one policy: the top degree's solver reads
+    its columns off the powers."""
+    for cached in (hall._degree_solver, hall._powers):
+        cached.cache_clear()
+    seen = []
+    real = hall.expand
+
+    def recording(w, policy):
+        seen.append((w, policy))
+        return real(w, policy)
+
+    monkeypatch.setattr(hall, "expand", recording)
+    w = word_from_letters(3, [1, 2, -3, 1, -2, 3, 3, -1, 2])
+    exps, certified = hall_factorize(w, 4)
+    assert certified
+    assert_matches_oracle(w, 4, exps)
+    commutator_words = Counter((c, p) for c, p in seen if len(c) > 1)
+    assert commutator_words and max(commutator_words.values()) == 1
+    top = [c.word for c in generate_basic(3, 4) if c.length == 4]
+    assert sum(commutator_words[(c, TruncationPolicy.total_degree(3, 4))] for c in top) == len(top)
 
 
 # A 20-letter rank-3 word (benchmark/inputs.random_letters, random.Random(4))

@@ -263,6 +263,25 @@ def test_longitude_route_matches_per_component_passes():
     assert (2, True, True) in seen and (1, True, False) in seen
 
 
+def test_longitude_route_runs_the_table_pass_only(monkeypatch):
+    """compare in longitude mode makes one pass per link under the
+    milnor_table policy and reads its witness off those longitudes."""
+    policies = []
+
+    def recording(code, q=None, policy=None):
+        policies.append(policy)
+        return longitude_series(code, q, policy)
+
+    monkeypatch.setattr(invariants, "longitude_series", recording)
+    code = comm223()
+    for k in (1, 2, 3):
+        policies.clear()
+        got = compare(code, TRIVIAL3, k, mode="longitude")
+        table_pol = TruncationPolicy.with_caps(3, (k + 1,) * 3, 3 * k - 1)
+        assert policies == [table_pol, table_pol]
+        assert got == compare(code, TRIVIAL3, k, mode="table")
+
+
 def test_k_equal_witness():
     assert compare(SINGLE, TRIVIAL2, 1)[1][0] == (2, 1)
     assert compare(SINGLE, SINGLE, 2)[1] is None

@@ -28,6 +28,7 @@ from weldmag.magnus import (
     series_pow,
 )
 from weldmag.words import (
+    Word,
     commutator,
     conjugate,
     generator,
@@ -526,3 +527,26 @@ def test_items_order_and_equality():
     assert s == t and hash is not None
     u = series_from_terms(TruncationPolicy.total_degree(2, 3), as_dict(s))
     assert s != u  # different policies never compare equal
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_mul_letter_matches_products_on_both_sides(caps, q, seed, mult, big):
+    """mul_letter shifts letters on either side; the series_mul by the
+    expansion of a_v^mult on that side is the reference."""
+    rank = len(caps)
+    pol = TruncationPolicy.with_caps(rank, caps, min(q, sum(caps) - rank))
+    rng = random.Random(seed)
+    s, ds = rand_series(rng, pol)
+    if big:
+        s = series_from_terms(pol, {m: c * 2**61 for m, c in ds.items()})
+    v = rng.randint(1, rank)
+    letter = expand(Word(rank, ((v, mult),) if mult else ()), pol)
+    assert magnus.mul_letter(s, v, mult) == series_mul(s, letter)
+    assert magnus.mul_letter(s, v, mult, left=True) == series_mul(letter, s)
