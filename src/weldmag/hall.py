@@ -42,10 +42,11 @@ import numpy as np
 
 from . import words
 from .magnus import (
-    INT64_SAFE,
     TruncatedSeries,
     TruncationPolicy,
+    exact_dtype,
     expand,
+    scatter_sum,
     series_from_terms,
     series_mul,
     series_one,
@@ -192,23 +193,21 @@ def _fraction_free_inverse(a: list[list[int]]) -> tuple[int, list[list[int]]]:
     return sign * prev, [[sign * x for x in r[m:]] for r in rows]
 
 
-def _sparse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, float]:
-    """The nonzero entries (rows, cols, values) of a, its row count, and a
-    bound on its largest row 1-norm, safe against float rounding."""
+def _sparse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The nonzero entries (rows, cols, values) of a, its row count, and its
+    largest row 1-norm as an int (summed in floats on int64, exactly on
+    Python ints)."""
     rows, cols = np.nonzero(a)
-    sums = np.abs(a).sum(axis=1, dtype=np.float64) if a.dtype != object else [np.inf]
-    return rows, cols, a[rows, cols], len(a), float(np.max(sums, initial=0.0)) * (1.0 + 1e-9) + 1.0
+    sums = np.abs(a).sum(axis=1, dtype=object if a.dtype == object else np.float64)
+    return rows, cols, a[rows, cols], len(a), int(sums.max(initial=0))
 
 
 def _product(a: tuple, v: np.ndarray) -> np.ndarray:
-    """a @ v exactly for a matrix in _sparse form, summed over its nonzeros:
-    on int64 while its row norm * max|v| bounds every partial sum below the
-    guard, on Python ints beyond it."""
+    """a @ v exactly for a matrix in _sparse form: one scatter_sum over its
+    nonzeros, whose partial sums are bounded by the row norm times max |v|,
+    an exact int."""
     rows, cols, vals, nrows, norm = a
-    wide = int(np.abs(v).max(initial=0)) >= INT64_SAFE / norm
-    out = np.zeros(nrows, dtype=object if wide else np.int64)
-    np.add.at(out, rows, vals.astype(out.dtype) * v[cols].astype(out.dtype))
-    return out
+    return scatter_sum(nrows, rows, v[cols], vals, norm * int(np.abs(v).max(initial=0)))
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +261,7 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
         for j, row in zip(unknowns, adj)
     ]
     inv_norm = max((sum(map(abs, row)) for _, _, row in inv_rows), default=0)
-    inv = np.zeros((ncols, ncols), dtype=np.int64 if inv_norm < INT64_SAFE else object)
+    inv = np.zeros((ncols, ncols), dtype=exact_dtype(inv_norm))
     for j, at, row in inv_rows:
         inv[j, at : at + len(row)] = row
     inv, cols = _sparse(inv), _sparse(cols)

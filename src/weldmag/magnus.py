@@ -20,15 +20,16 @@ The policies that matter downstream:
   quotient holding that one coefficient,
 * plain total degree q: used for degree bookkeeping.
 
-Coefficients are exact integers of unbounded magnitude.  The fast path keeps
-them in an int64 numpy vector indexed by the policy's monomial list; every
-operation is guarded by a conservative bound on the 1-norm of the result
-(the 1-norm is submultiplicative for this algebra), and when the bound gets
-anywhere near the int64 range the computation is promoted to an object-dtype
-vector holding Python integers.  Overflow can therefore never wrap silently.
+Coefficients are exact integers of unbounded magnitude, kept in a numpy
+vector indexed by the policy's monomial list.  One rule decides every sum:
+each kernel bounds the partial sums it is about to form from the 1-norms of
+its operands, computed when it runs (the 1-norm is submultiplicative for
+this algebra), and exact_dtype turns that bound into int64 below INT64_SAFE
+and Python ints (object dtype) from it on.  Overflow can therefore never
+wrap silently.  Series carry no bound between operations.
 
-Every product is formed by ``_convolve`` as one sum: over index triples
-(a, b, c) with mono_a * mono_b = mono_c, np.add.at adds sv[a] * tv[b]
+Every product is formed by ``_convolve`` as one scatter_sum: over index
+triples (a, b, c) with mono_a * mono_b = mono_c, it adds sv[a] * tv[b]
 into slot c.  The triples come from one of two sources.  The support pairs
 are only the pairs of nonzero terms whose concatenation survives: supports
 are sorted by degree, so the b that fit after a form a prefix of the right
@@ -39,9 +40,7 @@ split triples are all (a, b, c) of the policy, read off the same codes.  A
 fixed rule in the code takes the split triples on policies with few of
 them, on operands with more than a tenth as many pairs as triples, and
 where the codes or the packed counts would not fit in int64; the rule
-changes only the speed.  The sum is exact in int64 while the 1-norm bound
-stays below INT64_SAFE, and in Python ints beyond it; no sum goes through
-floats.
+changes only the speed.  No sum goes through floats.
 
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
@@ -55,7 +54,7 @@ action induces is a :class:`Substitution`, built once per operation from
 its conjugators.  It forms the n variable images on construction and the
 image of each monomial on first use, as its parent's image times one
 variable image, keeps those images sparse, and then applies to any number
-of series by summing scaled monomial images.
+of series as one scatter_sum of scaled monomial images.
 """
 
 from __future__ import annotations
@@ -86,13 +85,54 @@ __all__ = [
     "in_Jr",
     "retruncate",
     "Substitution",
+    "exact_dtype",
+    "scatter_sum",
     "format_monomial",
     "format_series",
 ]
 
-# Promote to Python-int vectors once a result's 1-norm bound crosses this;
-# hall's integer solve follows the same rule.
+# A quarter of the int64 range, so that the float rounding of a bound
+# cannot carry a sum past int64.
 INT64_SAFE = 2.0**61
+
+
+def exact_dtype(bound: float | int) -> type:
+    """The one overflow rule: int64 for a sum whose partial sums are at most
+    bound in magnitude while bound < INT64_SAFE, Python ints (object)
+    otherwise, and for a NaN bound.  An int bound compares exactly."""
+    return np.int64 if bound < INT64_SAFE else object
+
+
+def scatter_sum(
+    size: int, index: np.ndarray, left: np.ndarray, right: np.ndarray, bound: float | int
+) -> np.ndarray:
+    """np.add.at(out, index, left * right) into zeros of length size,
+    exactly, in exact_dtype(bound).
+
+    bound must be at least the sum of |left[i] * right[i]| over the i that
+    share one index, for every index, so that it bounds every partial sum.
+    The products overwrite left, so left must be an array the caller does
+    not keep, such as a gather; that saves one array of the operands' size.
+    """
+    dtype = exact_dtype(bound)
+    if dtype is object:
+        left = left.astype(object)
+    # a factor may lie beyond int64 where its products are 0, so the
+    # products, which the bound covers, are cast, not the factors
+    np.multiply(left, right, out=left, casting="unsafe")
+    out = np.zeros(size, dtype=dtype)
+    np.add.at(out, index, left.astype(dtype, copy=False))
+    return out
+
+
+def _norm(vals: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """The 1-norm of vals, or sum |vals[i]| * weights[i], as a float; inf
+    past the float range."""
+    try:
+        mags = np.abs(vals)
+        return float(np.add.reduce(mags if weights is None else mags * weights, dtype=np.float64))
+    except OverflowError:
+        return math.inf
 
 
 class MagnusError(ValueError):
@@ -284,11 +324,6 @@ class _PolicySpace:
                 m = known[p] = m + (int(self.last[p]),)
         return [known[i] for i in idx]
 
-    @cached_property
-    def monos(self) -> list[tuple[int, ...]]:
-        """Every monomial, in index order."""
-        return self.monos_at(range(self.size))
-
     def find(self, mono: tuple[int, ...]) -> int | None:
         """Index of a monomial, or None when the policy drops it."""
         base = self.policy.rank + 1
@@ -335,21 +370,6 @@ def _space(policy: TruncationPolicy) -> _PolicySpace:
     return _PolicySpace(policy)
 
 
-def _fresh_bound(vec: np.ndarray) -> float:
-    """Upper bound on the 1-norm, safe against float rounding."""
-    if vec.dtype == object:
-        total = sum(map(abs, vec))
-        try:
-            return float(total) * (1.0 + 1e-9) + 1.0
-        except OverflowError:
-            return float("inf")
-    return float(np.abs(vec).sum(dtype=np.float64)) * (1.0 + 1e-9) + 1.0
-
-
-def _to_object(vec: np.ndarray) -> np.ndarray:
-    return vec if vec.dtype == object else vec.astype(object)
-
-
 class TruncatedSeries:
     """An element of the truncated ring; treat instances as immutable.
 
@@ -357,12 +377,11 @@ class TruncatedSeries:
     policy and every coefficient exactly.
     """
 
-    __slots__ = ("policy", "_vec", "_bound")
+    __slots__ = ("policy", "_vec")
 
-    def __init__(self, policy: TruncationPolicy, vec: np.ndarray, bound: float | None = None):
+    def __init__(self, policy: TruncationPolicy, vec: np.ndarray):
         self.policy = policy
         self._vec = vec
-        self._bound = _fresh_bound(vec) if bound is None else bound
 
     # -- construction helpers ------------------------------------------------
 
@@ -438,12 +457,12 @@ class TruncatedSeries:
             return NotImplemented
         _check_policies(self, other)
         sv, ov = self._vec, other._vec
-        if self._bound + other._bound >= INT64_SAFE or sv.dtype == object or ov.dtype == object:
-            sv, ov = _to_object(sv), _to_object(ov)
-        return TruncatedSeries(self.policy, sv + ov)
+        dtype = exact_dtype(_norm(sv) + _norm(ov))
+        vec = sv.astype(dtype, copy=False) + ov.astype(dtype, copy=False)
+        return TruncatedSeries(self.policy, vec)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.policy, -self._vec, self._bound)
+        return TruncatedSeries(self.policy, -self._vec)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
@@ -461,7 +480,7 @@ class TruncatedSeries:
 def series_one(policy: TruncationPolicy) -> TruncatedSeries:
     vec = TruncatedSeries._zeros(policy)
     vec[0] = 1
-    return TruncatedSeries(policy, vec, 2.0)
+    return TruncatedSeries(policy, vec)
 
 
 def series_from_terms(policy: TruncationPolicy, terms: Mapping[tuple[int, ...], int]) -> TruncatedSeries:
@@ -491,8 +510,7 @@ def _check_policies(s: TruncatedSeries, t: TruncatedSeries) -> None:
 def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     """Convolution product in the quotient ring."""
     _check_policies(s, t)
-    out, bound = _convolve(_space(s.policy), s._vec, s._bound, t._vec, t._bound)
-    return TruncatedSeries(s.policy, out, bound)
+    return TruncatedSeries(s.policy, _convolve(_space(s.policy), s._vec, t._vec))
 
 
 # The kernel rule, from timing _convolve on each triple source (best of 5,
@@ -508,7 +526,8 @@ PAIR_COST = 10
 
 def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
     """The index triples (a, b, c) of the pairs of nonzero terms whose
-    product survives, c the index of mono_a * mono_b; None when the split
+    product survives, c the index of mono_a * mono_b, and the product of
+    the operands' 1-norms, read off their supports; None when the split
     triples of the policy are the cheaper source."""
     if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
         return None
@@ -525,34 +544,27 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
         fit = ((space.counts[a] + space.counts[b] + space.cap_offset) & space.cap_guard) == 0
         a, b = a[fit], b[fit]
     codes = space.codes
-    return a, b, np.searchsorted(codes, codes[a] * space.powers[deg[b]] + codes[b])
+    c = np.searchsorted(codes, codes[a] * space.powers[deg[b]] + codes[b])
+    return a, b, c, _norm(sv[ia]) * _norm(tv[ib])
 
 
-def _convolve(
-    space: _PolicySpace, sv: np.ndarray, s_bound: float, tv: np.ndarray, t_bound: float
-) -> tuple[np.ndarray, float]:
-    """The product of the coefficient vectors sv and tv, and a bound on its
-    1-norm; every product in this module is formed here.
+def _convolve(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+    """The product of the coefficient vectors sv and tv; every product in
+    this module is formed here.
 
-    One np.add.at adds sv[a] * tv[b] into slot c over the index triples
+    One scatter_sum adds sv[a] * tv[b] into slot c over the index triples
     (a, b, c) of the support pairs (see _support_pairs) or, when those are
     the dearer source, over every split triple of the policy (splits()).
-    Products and sums are int64 while s_bound * t_bound stays below
-    INT64_SAFE, so no partial sum can wrap, and Python ints otherwise.  The
-    bound returned is the 1-norm of the result itself, capped by
-    s_bound * t_bound.
+    Each (a, b) occurs once, so ||sv||_1 * ||tv||_1 bounds every partial
+    sum.
     """
-    est = s_bound * t_bound
-    wide = est >= INT64_SAFE or sv.dtype == object or tv.dtype == object
-    if wide:
-        sv, tv = _to_object(sv), _to_object(tv)
-    triples = _support_pairs(space, sv, tv)
-    a, b, c = space.splits() if triples is None else triples
-    out = np.zeros(space.size, dtype=sv.dtype)
-    np.add.at(out, c, sv[a] * tv[b])
-    # a product of support pairs is mostly zeros: bound its nonzero terms only
-    bound = _fresh_bound(out if triples is None else out[out != 0])
-    return out, bound if wide else min(est, bound)
+    pairs = _support_pairs(space, sv, tv)
+    if pairs is None:
+        a, b, c = space.splits()
+        bound = _norm(sv) * _norm(tv)
+    else:
+        a, b, c, bound = pairs
+    return scatter_sum(space.size, c, sv[a], tv[b], bound)
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -596,27 +608,22 @@ def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
 # -- expansion of words -------------------------------------------------------
 
 
-def _mul_one_letter(letter_map: tuple, vec: np.ndarray, bound: float):
+def _mul_one_letter(letter_map: tuple, vec: np.ndarray) -> np.ndarray:
     """vec times (1 + X_v), on the side of X_v's letter map."""
-    est = 2.0 * bound
-    if est >= INT64_SAFE and vec.dtype != object:
-        vec = _to_object(vec)
-    out = vec.copy()
+    out = vec.astype(exact_dtype(2 * _norm(vec)))
     src, dst, _ = letter_map
     out[dst] += vec[src]
-    return out, est
+    return out
 
 
-def _div_one_letter(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, bound: float):
+def _div_one_letter(space: _PolicySpace, letter_map: tuple, vec: np.ndarray) -> np.ndarray:
     """vec times (1 + X_v)^{-1}, on the side of X_v's letter map, by
-    degree-increasing back substitution."""
-    est = bound * (space.max_degree + 1)
-    if est >= INT64_SAFE and vec.dtype != object:
-        vec = _to_object(vec)
-    out = vec.copy()
+    degree-increasing back substitution; each result is at most q + 1 terms
+    of vec."""
+    out = vec.astype(exact_dtype((space.max_degree + 1) * _norm(vec)))
     for dst, src in letter_map[2]:
         out[dst] -= out[src]
-    return out, est
+    return out
 
 
 def _binomial_coeffs(mult: int, dmax: int) -> list[int]:
@@ -627,17 +634,16 @@ def _binomial_coeffs(mult: int, dmax: int) -> list[int]:
     return [(-1) ** d * math.comb(m + d - 1, d) for d in range(dmax + 1)]
 
 
-def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, bound: float, mult: int):
+def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int) -> np.ndarray:
     """vec times (1 + X_v)^mult for any integer mult, on the side of X_v's
-    letter map."""
+    letter map; ||vec||_1 times the 1-norm of (1 + X_v)^mult's coefficients
+    bounds every partial sum."""
     if mult == 1:
-        return _mul_one_letter(letter_map, vec, bound)
+        return _mul_one_letter(letter_map, vec)
     if mult == -1:
-        return _div_one_letter(space, letter_map, vec, bound)
+        return _div_one_letter(space, letter_map, vec)
     coeffs = _binomial_coeffs(mult, space.max_degree)
-    est = bound * float(sum(abs(c) for c in coeffs))
-    if est >= INT64_SAFE and vec.dtype != object:
-        vec = _to_object(vec)
+    vec = vec.astype(exact_dtype(_norm(vec) * sum(map(abs, coeffs))), copy=False)
     src, dst, _ = letter_map
     out = vec * coeffs[0]
     term = vec
@@ -649,7 +655,7 @@ def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, bound: flo
             break
         if c:
             out = out + term * c
-    return out, est
+    return out
 
 
 def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
@@ -657,8 +663,7 @@ def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) ->
     image of a_v^mult applied by letter shifts, with no product."""
     space = _space(s.policy)
     letter_map = space.prepend[v] if left else space.append[v]
-    vec, bound = _mul_run(space, letter_map, s._vec, s._bound, mult)
-    return TruncatedSeries(s.policy, vec, min(bound, _fresh_bound(vec)))
+    return TruncatedSeries(s.policy, _mul_run(space, letter_map, s._vec, mult))
 
 
 def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
@@ -672,12 +677,9 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     space = _space(policy)
     vec = TruncatedSeries._zeros(policy)
     vec[0] = 1
-    bound = 2.0
     for g, mult in w.runs:
-        vec, bound = _mul_run(space, space.append[g], vec, bound, mult)
-        # keep the running bound tight so long words stay on the fast path
-        bound = min(bound, _fresh_bound(vec))
-    return TruncatedSeries(policy, vec, bound)
+        vec = _mul_run(space, space.append[g], vec, mult)
+    return TruncatedSeries(policy, vec)
 
 
 def coefficient(s: TruncatedSeries, mono: Sequence[int]) -> int:
@@ -734,16 +736,7 @@ def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSer
     return TruncatedSeries(new_policy, s._vec[mapping])
 
 
-def _times_variable(s: TruncatedSeries, v: int) -> TruncatedSeries:
-    """s * X_v: each monomial gains X_v at its end, or drops out."""
-    space = _space(s.policy)
-    src, dst, _ = space.append[v]
-    out = np.zeros_like(s._vec)
-    out[dst] = s._vec[src]
-    return TruncatedSeries(s.policy, out, s._bound)
-
-
-# a monomial's image under a substitution: (indices, values, 1-norm bound)
+# a monomial's image under a substitution: (indices, values, 1-norm)
 _SparseImage = tuple[np.ndarray, np.ndarray, float]
 
 
@@ -760,11 +753,12 @@ class Substitution:
     construction (one series_inverse and one product each); the inverses
     c_v^{-1} are kept as ``inverses``.  The image of a
     monomial m.v is formed on first use as the image of m times the image of
-    X_v, one product, and kept; applying the substitution to a series sums
-    the scaled images of its monomials.  Monomial images are sparse, so
-    they are kept as (indices, values, 1-norm bound), and the product
-    forming m.v pairs only their nonzero terms.  Do not keep the object
-    beyond the operation.
+    X_v, one product, and kept.  Monomial images are sparse, so they are
+    kept as (indices, values, 1-norm), and the product forming m.v pairs
+    only their nonzero terms.  Applying the substitution to a series is one
+    scatter_sum of the scaled images of its monomials, whose partial sums
+    are bounded by sum |c_m| * ||image of m||_1 over its coefficients c_m.
+    Do not keep the object beyond the operation.
     """
 
     def __init__(self, conjugators: Sequence[TruncatedSeries]) -> None:
@@ -778,11 +772,11 @@ class Substitution:
         self._space = _space(policy)
         self.inverses = tuple(series_inverse(c) for c in conjugators)
         self.variable_images = tuple(
-            series_mul(_times_variable(inv, v), c)
+            series_mul(mul_letter(inv, v) - inv, c)
             for v, (inv, c) in enumerate(zip(self.inverses, conjugators), start=1)
         )
         self._images: dict[int, _SparseImage] = {
-            0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 2.0)
+            0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1.0)
         }
 
     def __len__(self) -> int:
@@ -804,24 +798,29 @@ class Substitution:
 
     def _extend(self, img: _SparseImage, v: int) -> _SparseImage:
         """The image of a monomial times the image of X_v."""
-        idx, vals, bound = img
-        g = self.variable_images[v - 1]
+        idx, vals, _ = img
         vec = np.zeros(self._space.size, dtype=vals.dtype)
         vec[idx] = vals
-        out, out_bound = _convolve(self._space, vec, bound, g._vec, g._bound)
+        out = _convolve(self._space, vec, self.variable_images[v - 1]._vec)
         nz = np.flatnonzero(out != 0)
-        return nz, out[nz], out_bound
+        vals = out[nz]
+        return nz, vals, _norm(vals)
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         if s.policy != self.policy:
             raise MagnusError("policy mismatch between series and substitution")
-        vec = s._vec
-        rows = [(int(vec[i]), self._image(int(i))) for i in np.flatnonzero(vec != 0)]
-        est = sum(abs(c) * bound for c, (_, _, bound) in rows)
-        wide = est >= INT64_SAFE or any(vals.dtype == object for _, (_, vals, _) in rows)
-        out = np.zeros(self._space.size, dtype=object if wide else np.int64)
-        for c, (idx, vals, _) in rows:
-            out[idx] += c * (_to_object(vals) if wide else vals)
+        nz = np.flatnonzero(s._vec != 0)
+        if not len(nz):
+            return s
+        idx, vals, norms = zip(*map(self._image, nz.tolist()))
+        coeffs = s._vec[nz]
+        out = scatter_sum(
+            self._space.size,
+            np.concatenate(idx),
+            np.repeat(coeffs, list(map(len, idx))),
+            np.concatenate(vals),
+            _norm(coeffs, np.array(norms)),
+        )
         return TruncatedSeries(self.policy, out)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
-from weldmag import magnus
+from weldmag import hall, magnus
 from weldmag.magnus import (
     MagnusError,
     Substitution,
@@ -64,7 +64,7 @@ def expand_all_monos(policy):
     from weldmag.magnus import _space
 
     sp = _space(policy)
-    for m in sp.monos:
+    for m in sp.monos_at(range(sp.size)):
         seen.append((m, 0))
     return seen
 
@@ -188,7 +188,8 @@ def test_series_mul_kernel_matches_oracle(monkeypatch):
     @settings(max_examples=80, deadline=None)
     def check(policy, seed, support, big):
         rng = random.Random(seed)
-        monos = magnus._space(policy).monos
+        space = magnus._space(policy)
+        monos = space.monos_at(range(space.size))
 
         def operand(full):
             picks = monos if full else rng.sample(monos, rng.randint(1, min(len(monos), 12)))
@@ -403,9 +404,10 @@ def test_substitution_validation():
 
 
 def naive_splits(space):
-    index = {m: i for i, m in enumerate(space.monos)}
+    monos = space.monos_at(range(space.size))
+    index = {m: i for i, m in enumerate(monos)}
     A, B, C = [], [], []
-    for c, m in enumerate(space.monos):
+    for c, m in enumerate(monos):
         for cut in range(len(m) + 1):
             A.append(index[m[:cut]])
             B.append(index[m[cut:]])
@@ -433,8 +435,9 @@ def test_policy_space_lists_admitted_monomials_in_order(policy):
         layer = [m + (v,) for m in layer for v in range(1, policy.rank + 1) if policy.admits(m + (v,))]
         admitted += layer
     space = _PolicySpace(policy)
-    assert space.monos == sorted(admitted, key=lambda m: (len(m), m))
-    assert [space.find(m) for m in space.monos] == list(range(space.size))
+    monos = space.monos_at(range(space.size))
+    assert monos == sorted(admitted, key=lambda m: (len(m), m))
+    assert [space.find(m) for m in monos] == list(range(space.size))
     assert all(x < y for x, y in zip(space.codes.tolist(), space.codes[1:].tolist()))
 
 
@@ -550,3 +553,155 @@ def test_mul_letter_matches_products_on_both_sides(caps, q, seed, mult, big):
     letter = expand(Word(rank, ((v, mult),) if mult else ()), pol)
     assert magnus.mul_letter(s, v, mult) == series_mul(s, letter)
     assert magnus.mul_letter(s, v, mult, left=True) == series_mul(letter, s)
+
+
+SAFE = int(magnus.INT64_SAFE)
+
+
+def binom(e, d):
+    """The binomial coefficient C(e, d) for any integer e."""
+    return math.prod(range(e - d + 1, e + 1)) // math.factorial(d)
+
+
+def run_norm(mult, q):
+    """The 1-norm of (1 + X)^mult through degree q."""
+    return sum(abs(binom(mult, d)) for d in range(q + 1))
+
+
+THRESHOLD_POLICY = TruncationPolicy.total_degree(2, 3)
+Q = THRESHOLD_POLICY.max_total_degree
+# sparse enough for the support pairs: 3 of them against 49 split triples
+BASE_S = {(1,): -2, (2, 1): 3}
+BASE_T = {(): 1, (1, 2): -1}
+
+
+def scaled(d, c):
+    return {m: c * x for m, x in d.items()}
+
+
+def series(d):
+    return series_from_terms(THRESHOLD_POLICY, d)
+
+
+# Each case maps a scale c to (bound, run): the bound its kernel's
+# docstring states, and a thunk giving (result, oracle's result).
+
+
+def product_case(c):
+    s, t = scaled(BASE_S, c), BASE_T
+    return 5 * c * 2, lambda: (series_mul(series(s), series(t)), oracle.mul(s, t, Q))
+
+
+def sum_case(sign):
+    def case(c):
+        s, t = scaled(BASE_S, c), scaled(BASE_T, c)
+
+        def run():
+            if sign > 0:
+                return series(s) + series(t), oracle.add(s, t)
+            return series(s) - series(t), oracle.add(s, oracle.neg(t))
+
+        return 5 * c + 2 * c, run
+
+    return case
+
+
+def mul_letter_case(mult, left):
+    def case(c):
+        s = scaled(BASE_S, c)
+
+        def run():
+            letter = oracle.power({(): 1, (2,): 1}, mult, Q)
+            want = oracle.mul(letter, s, Q) if left else oracle.mul(s, letter, Q)
+            return magnus.mul_letter(series(s), 2, mult, left=left), want
+
+        return 5 * c * run_norm(mult, Q), run
+
+    return case
+
+
+def expand_case(m):
+    """a1^m a2: the second run's bound, 2 ||(1 + X1)^m||_1, is the larger."""
+
+    def run():
+        want = oracle.mul(oracle.power({(): 1, (1,): 1}, m, Q), {(): 1, (2,): 1}, Q)
+        return expand(Word(2, ((1, m), (2, 1))), THRESHOLD_POLICY), want
+
+    return 2 * run_norm(m, Q), run
+
+
+SUB_CONJUGATORS = [oracle.expand_letters([2], Q), oracle.expand_letters([-1, 2], Q)]
+SUB_NORMS = {
+    m: sum(map(abs, oracle.substitute({m: 1}, SUB_CONJUGATORS, Q).values())) for m in BASE_S}
+
+
+def substitution_case(c):
+    s = scaled(BASE_S, c)
+    sub = lambda: Substitution([series(d) for d in SUB_CONJUGATORS])(series(s))
+    bound = sum(abs(x) * SUB_NORMS[m] for m, x in s.items())
+    return bound, lambda: (sub(), oracle.substitute(s, SUB_CONJUGATORS, Q))
+
+
+def hall_product_case(c):
+    """Row norms 3 and 4 times max |v| = 2c."""
+    a, v = [[1, -2, 0], [0, 3, 1]], [c, -c, 2 * c]
+    got = lambda: hall._product(hall._sparse(np.array(a)), np.array(v, dtype=object))
+    return 4 * 2 * c, lambda: (got(), [sum(x * y for x, y in zip(row, v)) for row in a])
+
+
+THRESHOLD_CASES = {
+    "product": product_case,
+    "product-support-pairs": product_case,
+    "sum": sum_case(1),
+    "difference": sum_case(-1),
+    **{
+        f"mul_letter-{mult}-{'left' if left else 'right'}": mul_letter_case(mult, left)
+        for mult in (1, -1, 3, -2)
+        for left in (False, True)
+    },
+    "expand": expand_case,
+    "substitution": substitution_case,
+    "hall-product": hall_product_case,
+}
+
+
+@pytest.mark.parametrize("kernel", THRESHOLD_CASES)
+def test_overflow_rule_at_threshold(monkeypatch, kernel):
+    """Each kernel sums on int64 when its bound lies just below INT64_SAFE,
+    and on exact Python ints from just above it on, here also with
+    coefficients past int64."""
+    if kernel == "product-support-pairs":
+        monkeypatch.setattr(magnus, "DENSE_BELOW_TRIPLES", 0)
+        real, paths = magnus._support_pairs, []
+        monkeypatch.setattr(
+            magnus, "_support_pairs", lambda *args: paths.append(real(*args)) or paths[-1])
+    case = THRESHOLD_CASES[kernel]
+
+    def least(target):
+        """The smallest scale whose bound reaches target."""
+        lo, hi = 0, 1
+        while case(hi)[0] < target:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if case(mid)[0] < target else (lo, mid)
+        return hi
+
+    margin = SAFE >> 20  # far wider than the float rounding of a bound
+    for c, wide in ((least(SAFE - margin) - 1, False), (least(SAFE + margin), True),
+                    (least(SAFE << 8), True)):
+        got, want = case(c)[1]()
+        vec = got if isinstance(got, np.ndarray) else got._vec
+        assert (vec.dtype == object) == wide, c
+        assert (got.tolist() if isinstance(got, np.ndarray) else as_dict(got)) == want
+    if kernel == "product-support-pairs":
+        assert paths and all(p is not None for p in paths)
+
+
+def test_substituting_into_zero_gives_zero():
+    rng = random.Random(16)
+    pol = TruncationPolicy.uniform_caps(2, 2)
+    conjs, _ = random_conjugators(rng, pol)
+    zero = series_from_terms(pol, {})
+    assert Substitution(conjs)(zero).is_zero
+    assert Substitution(conjs)(zero).policy == pol
