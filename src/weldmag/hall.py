@@ -341,6 +341,8 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
                     b = np.zeros(len(x) * j, dtype=object)
                     b[c * j : c * j + j] = [
                         math.prod(range(-e - i + 1, -e + 1)) // math.factorial(i) for i in range(1, j + 1)]
-                    rem = rem + series_mul(TruncatedSeries(policy, _product(u, b)), rem)
+                    factor = _product(u, b)
+                    factor[0] = 1
+                    rem = series_mul(TruncatedSeries(policy, factor), rem)
     certified = not any(rem.degree_block_nonzero(d) for d in range(1, k + 1))
     return exps, certified

@@ -23,10 +23,11 @@ The policies that matter downstream:
 Coefficients are exact integers of unbounded magnitude, kept in a numpy
 vector indexed by the policy's monomial list.  One rule decides every sum:
 each kernel bounds the partial sums it is about to form from the 1-norms of
-its operands, computed when it runs (the 1-norm is submultiplicative for
-this algebra), and exact_dtype turns that bound into int64 below INT64_SAFE
-and Python ints (object dtype) from it on.  Overflow can therefore never
-wrap silently.  Series carry no bound between operations.
+its operands, computed when it runs unless the caller holds them (the
+1-norm is submultiplicative for this algebra), and exact_dtype turns that
+bound into int64 below INT64_SAFE and Python ints (object dtype) from it
+on.  Overflow can therefore never wrap silently.  Series carry no bound
+between operations.
 
 Every product is formed by ``_convolve`` as one scatter_sum: over index
 triples (a, b, c) with mono_a * mono_b = mono_c, it adds sv[a] * tv[b]
@@ -115,10 +116,12 @@ def scatter_sum(
     not keep, such as a gather; that saves one array of the operands' size.
     """
     dtype = exact_dtype(bound)
-    if dtype is object:
+    try:
+        left, right = left.astype(dtype, copy=False), right.astype(dtype, copy=False)
+    except OverflowError:
+        # a factor lies beyond int64 where its products are 0, so the
+        # products, which the bound covers, are cast, not the factors
         left = left.astype(object)
-    # a factor may lie beyond int64 where its products are 0, so the
-    # products, which the bound covers, are cast, not the factors
     np.multiply(left, right, out=left, casting="unsafe")
     out = np.zeros(size, dtype=dtype)
     np.add.at(out, index, left.astype(dtype, copy=False))
@@ -383,12 +386,6 @@ class TruncatedSeries:
         self.policy = policy
         self._vec = vec
 
-    # -- construction helpers ------------------------------------------------
-
-    @staticmethod
-    def _zeros(policy: TruncationPolicy) -> np.ndarray:
-        return np.zeros(_space(policy).size, dtype=np.int64)
-
     # -- queries ---------------------------------------------------------------
 
     def coefficient(self, mono: tuple[int, ...]) -> int:
@@ -478,7 +475,7 @@ class TruncatedSeries:
 
 
 def series_one(policy: TruncationPolicy) -> TruncatedSeries:
-    vec = TruncatedSeries._zeros(policy)
+    vec = np.zeros(_space(policy).size, dtype=np.int64)
     vec[0] = 1
     return TruncatedSeries(policy, vec)
 
@@ -486,14 +483,14 @@ def series_one(policy: TruncationPolicy) -> TruncatedSeries:
 def series_from_terms(policy: TruncationPolicy, terms: Mapping[tuple[int, ...], int]) -> TruncatedSeries:
     """Series with the given coefficients; monomials must satisfy the policy."""
     space = _space(policy)
-    big = any(abs(c) >= 2**62 for c in terms.values())
-    vec = np.zeros(space.size, dtype=object) if big else TruncatedSeries._zeros(policy)
+    dtype = exact_dtype(max(map(abs, terms.values()), default=0))
+    vec = np.zeros(space.size, dtype=dtype)
     for mono, c in terms.items():
         mono = tuple(mono)
         idx = space.find(mono)
         if idx is None:
             raise MagnusError(f"monomial {format_monomial(mono)} is outside the truncation policy")
-        vec[idx] = c if big else int(c)
+        vec[idx] = int(c)
     return TruncatedSeries(policy, vec)
 
 
@@ -526,9 +523,9 @@ PAIR_COST = 10
 
 def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
     """The index triples (a, b, c) of the pairs of nonzero terms whose
-    product survives, c the index of mono_a * mono_b, and the product of
-    the operands' 1-norms, read off their supports; None when the split
-    triples of the policy are the cheaper source."""
+    product survives, c the index of mono_a * mono_b, and the supports
+    (ia, ib) of sv and tv; None when the split triples of the policy are
+    the cheaper source."""
     if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
         return None
     ia, ib = np.flatnonzero(sv != 0), np.flatnonzero(tv != 0)
@@ -545,10 +542,12 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
         a, b = a[fit], b[fit]
     codes = space.codes
     c = np.searchsorted(codes, codes[a] * space.powers[deg[b]] + codes[b])
-    return a, b, c, _norm(sv[ia]) * _norm(tv[ib])
+    return a, b, c, ia, ib
 
 
-def _convolve(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray) -> np.ndarray:
+def _convolve(
+    space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, norms: tuple[float, float] | None = None
+) -> np.ndarray:
     """The product of the coefficient vectors sv and tv; every product in
     this module is formed here.
 
@@ -556,15 +555,13 @@ def _convolve(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray) -> np.ndarray
     (a, b, c) of the support pairs (see _support_pairs) or, when those are
     the dearer source, over every split triple of the policy (splits()).
     Each (a, b) occurs once, so ||sv||_1 * ||tv||_1 bounds every partial
-    sum.
+    sum; norms are those two 1-norms where the caller holds them, and are
+    read off the operands otherwise.
     """
     pairs = _support_pairs(space, sv, tv)
-    if pairs is None:
-        a, b, c = space.splits()
-        bound = _norm(sv) * _norm(tv)
-    else:
-        a, b, c, bound = pairs
-    return scatter_sum(space.size, c, sv[a], tv[b], bound)
+    a, b, c, ia, ib = pairs or (*space.splits(), slice(None), slice(None))
+    s_norm, t_norm = norms or (_norm(sv[ia]), _norm(tv[ib]))
+    return scatter_sum(space.size, c, sv[a], tv[b], s_norm * t_norm)
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
@@ -612,7 +609,7 @@ def _mul_one_letter(letter_map: tuple, vec: np.ndarray) -> np.ndarray:
     """vec times (1 + X_v), on the side of X_v's letter map."""
     out = vec.astype(exact_dtype(2 * _norm(vec)))
     src, dst, _ = letter_map
-    out[dst] += vec[src]
+    out[dst] += out[src]
     return out
 
 
@@ -675,8 +672,7 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     if w.rank != policy.rank:
         raise MagnusError(f"word rank {w.rank} does not match policy rank {policy.rank}")
     space = _space(policy)
-    vec = TruncatedSeries._zeros(policy)
-    vec[0] = 1
+    vec = series_one(policy)._vec
     for g, mult in w.runs:
         vec = _mul_run(space, space.append[g], vec, mult)
     return TruncatedSeries(policy, vec)
@@ -750,8 +746,8 @@ class Substitution:
 
     Build one per operation and apply it to every series that operation
     substitutes into.  The n variable images c_v^{-1} X_v c_v are formed on
-    construction (one series_inverse and one product each); the inverses
-    c_v^{-1} are kept as ``inverses``.  The image of a
+    construction (one series_inverse and one product each), with their
+    1-norms; the inverses c_v^{-1} are kept as ``inverses``.  The image of a
     monomial m.v is formed on first use as the image of m times the image of
     X_v, one product, and kept.  Monomial images are sparse, so they are
     kept as (indices, values, 1-norm), and the product forming m.v pairs
@@ -775,6 +771,7 @@ class Substitution:
             series_mul(mul_letter(inv, v) - inv, c)
             for v, (inv, c) in enumerate(zip(self.inverses, conjugators), start=1)
         )
+        self._variable_norms = tuple(_norm(img._vec) for img in self.variable_images)
         self._images: dict[int, _SparseImage] = {
             0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1.0)
         }
@@ -798,10 +795,11 @@ class Substitution:
 
     def _extend(self, img: _SparseImage, v: int) -> _SparseImage:
         """The image of a monomial times the image of X_v."""
-        idx, vals, _ = img
+        idx, vals, norm = img
         vec = np.zeros(self._space.size, dtype=vals.dtype)
         vec[idx] = vals
-        out = _convolve(self._space, vec, self.variable_images[v - 1]._vec)
+        out = _convolve(
+            self._space, vec, self.variable_images[v - 1]._vec, (norm, self._variable_norms[v - 1]))
         nz = np.flatnonzero(out != 0)
         vals = out[nz]
         return nz, vals, _norm(vals)

@@ -698,6 +698,36 @@ def test_overflow_rule_at_threshold(monkeypatch, kernel):
         assert paths and all(p is not None for p in paths)
 
 
+def test_small_values_on_python_ints_go_back_to_int64():
+    """The rule follows the values, not the storage: a product whose bound
+    passes INT64_SAFE is kept on Python ints even where its values are
+    small, as a * a^-1 = 1 here, and every kernel then takes such an
+    operand back to int64, exactly."""
+    a = series({(): 1, (1,): 2**40})
+    inv = magnus.series_inverse(a)
+    one, s = series_mul(a, inv), series_mul(a, series_mul(inv, series(BASE_S)))
+    assert one._vec.dtype == object and as_dict(one) == {(): 1}
+    assert s._vec.dtype == object and as_dict(s) == BASE_S
+    checks = [
+        (series_mul(s, series(BASE_T)), oracle.mul(BASE_S, BASE_T, Q)),
+        (series_mul(series(BASE_T), s), oracle.mul(BASE_T, BASE_S, Q)),
+        (s + series(BASE_T), oracle.add(BASE_S, BASE_T)),
+        (series(BASE_T) - s, oracle.add(BASE_T, oracle.neg(BASE_S))),
+        (Substitution([series(d) for d in SUB_CONJUGATORS])(s),
+         oracle.substitute(BASE_S, SUB_CONJUGATORS, Q)),
+    ]
+    for mult in (1, -1, 3, -2):
+        letter = oracle.power({(): 1, (2,): 1}, mult, Q)
+        checks.append((magnus.mul_letter(s, 2, mult), oracle.mul(BASE_S, letter, Q)))
+        checks.append((magnus.mul_letter(s, 2, mult, left=True), oracle.mul(letter, BASE_S, Q)))
+        checks.append((magnus.mul_letter(one, 2, mult), letter))
+    # a factor past int64 whose products are all 0
+    big, zero = series({(1,): 2**70}), series({})
+    checks += [(series_mul(big, zero), {}), (series_mul(zero, big), {})]
+    for got, want in checks:
+        assert got._vec.dtype == np.int64
+        assert as_dict(got) == want
+
 def test_substituting_into_zero_gives_zero():
     rng = random.Random(16)
     pol = TruncationPolicy.uniform_caps(2, 2)
