@@ -43,10 +43,6 @@ def _print_json(obj: dict, out_path: str | None = None) -> None:
     _emit(json.dumps({"schema": 1, **obj}, sort_keys=True), out_path)
 
 
-def _series_pairs(s: magnus.TruncatedSeries) -> list[list]:
-    return [[label, c] for label, c in s.labelled_items()]
-
-
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(t) for t in text.split(","))
@@ -113,11 +109,11 @@ def _cmd_action(args: argparse.Namespace) -> int:
             "rank": phi.rank,
             "k": phi.k,
             "conjugators": [
-                {"component": i, "series": _series_pairs(r)}
+                {"component": i, "series": list(r.labelled_items())}
                 for i, r in enumerate(phi.residues, start=1)
             ],
             "images": [
-                {"component": i, "series": _series_pairs(s)}
+                {"component": i, "series": list(s.labelled_items())}
                 for i, s in enumerate(phi.images, start=1)
             ],
         })
@@ -168,12 +164,16 @@ def _cmd_moves(args: argparse.Namespace) -> int:
     code = gauss.parse(_read_source(args.code))
     sites = gauss.applicable_sites(code, args.kind)
     if args.apply is None:
+        if args.output is not None:
+            raise ValueError("-o has no effect without --apply")
         if args.json:
             _print_json({"kind": args.kind, "sites": [list(s) for s in sites]})
         else:
             for idx, s in enumerate(sites):
                 print(f"{idx}: {s}")
         return 0
+    if not sites:
+        raise ValueError(f"no {args.kind} site")
     if not 0 <= args.apply < len(sites):
         raise ValueError(f"site number {args.apply} out of range 0..{len(sites) - 1}")
     moved = gauss.apply_move(code, args.kind, sites[args.apply])

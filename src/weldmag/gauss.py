@@ -22,13 +22,16 @@ From a code the module derives:
 * the Wirtinger presentation: arcs are maximal runs between Under passages,
   and the j-th Under passage of component i with over-arc generator g and
   sign e contributes the relation a_{i,j+1} = (g^e)^{-1} a_{i,j} (g^e);
+* the self-writhe f_i of component i, read off the relations: the sum of
+  the signs of component i's relations whose over-arc lies on component i;
 * the preferred longitudes: component i's longitude is the last of the
   prefix products P_j = meridian^{-f_i} b_{i,1} ... b_{i,j} of the
-  conjugating factors met along it, after the self-writhe correction, in
-  the truncated series ring.  A factor over a meridian is a letter shift;
-  only over-arcs that are not meridians are iterated, each as the
-  conjugate P_j^{-1} a_i P_j, by a fixed-point loop that gains one degree
-  per sweep and certifies its own stabilization;
+  conjugating factors met along it, in the truncated series ring.  Every
+  generator power is a letter shift: the writhe correction and its
+  inverse, the starting value of each iterated arc, and each factor over
+  a meridian.  Only over-arcs that are not meridians are iterated, each as
+  the conjugate P_j^{-1} a_i P_j, by a fixed-point loop that gains one
+  degree per sweep and certifies its own stabilization;
 * the diagram moves R1, R2 and OC used by the invariance test suite, each
   applied exactly at the sites :func:`applicable_sites` lists, the stacking
   product, and cutting closed links open at chosen basepoints.
@@ -40,8 +43,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .magnus import TruncationPolicy, TruncatedSeries, expand, mul_letter, series_mul
-from .words import Word
+from .magnus import TruncationPolicy, TruncatedSeries, mul_letter, series_mul, series_one
 
 __all__ = [
     "GaussCodeError",
@@ -90,51 +92,41 @@ class Passage:
         return f"{self.role}{self.cid}{'+' if self.sign > 0 else '-'}"
 
 
-def _validate_components(components: tuple[tuple[Passage, ...], ...]) -> None:
-    seen: dict[int, list[Passage]] = {}
-    for comp in components:
-        for p in comp:
-            if p.role not in ("O", "U"):
-                raise GaussCodeError(f"bad role {p.role!r} on crossing {p.cid}")
-            if p.sign not in (1, -1):
-                raise GaussCodeError(f"bad sign {p.sign!r} on crossing {p.cid}")
-            seen.setdefault(p.cid, []).append(p)
-    for cid, ps in seen.items():
-        if len(ps) != 2:
-            raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
-        roles = sorted(p.role for p in ps)
-        if roles != ["O", "U"]:
-            raise GaussCodeError(f"crossing {cid} needs one Over and one Under passage")
-        if ps[0].sign != ps[1].sign:
-            raise GaussCodeError(f"crossing {cid} has mismatched signs")
-
-
 @dataclass(frozen=True)
-class StringLinkCode:
+class _Code:
+    """The body of both code classes: each crossing has one Over and one
+    Under passage of one sign."""
+
+    components: tuple[tuple[Passage, ...], ...]
+
+    def __post_init__(self) -> None:
+        seen: dict[int, list[Passage]] = {}
+        for comp in self.components:
+            for p in comp:
+                if p.role not in ("O", "U"):
+                    raise GaussCodeError(f"bad role {p.role!r} on crossing {p.cid}")
+                if p.sign not in (1, -1):
+                    raise GaussCodeError(f"bad sign {p.sign!r} on crossing {p.cid}")
+                seen.setdefault(p.cid, []).append(p)
+        for cid, ps in seen.items():
+            if len(ps) != 2:
+                raise GaussCodeError(f"crossing {cid} appears {len(ps)} times, expected 2")
+            if sorted(p.role for p in ps) != ["O", "U"]:
+                raise GaussCodeError(f"crossing {cid} needs one Over and one Under passage")
+            if ps[0].sign != ps[1].sign:
+                raise GaussCodeError(f"crossing {cid} has mismatched signs")
+
+    @property
+    def n(self) -> int:
+        return len(self.components)
+
+
+class StringLinkCode(_Code):
     """Gauss code of a welded string link; components read bottom to top."""
 
-    components: tuple[tuple[Passage, ...], ...]
 
-    def __post_init__(self) -> None:
-        _validate_components(self.components)
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
-
-
-@dataclass(frozen=True)
-class LinkCode:
+class LinkCode(_Code):
     """Gauss code of a closed welded link; component sequences are cyclic."""
-
-    components: tuple[tuple[Passage, ...], ...]
-
-    def __post_init__(self) -> None:
-        _validate_components(self.components)
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
 
 
 _LINE = re.compile(r"^\s*([0-9]+)\s*:(.*)$")
@@ -222,12 +214,12 @@ class WirtingerPresentation:
     relations: tuple[WirtingerRelation, ...]
 
 
-def wirtinger(code: StringLinkCode) -> WirtingerPresentation:
+def wirtinger(code: StringLinkCode | LinkCode) -> WirtingerPresentation:
     """The Wirtinger presentation read off the code.
 
     Arc j of a component starts after its (j-1)-th Under passage, so an Over
     passage lies on the arc numbered one more than the Under passages before
-    it.
+    it.  A closed code is read as if cut open before each first passage.
     """
     over_arc: dict[int, tuple[int, int]] = {}
     arc_counts = []
@@ -248,16 +240,11 @@ def wirtinger(code: StringLinkCode) -> WirtingerPresentation:
 
 
 def self_writhe(code: StringLinkCode | LinkCode, i: int) -> int:
-    """Sum of signs over crossings whose two passages both lie on component i."""
-    comps: dict[int, list[int]] = {}
-    for ci, comp in enumerate(code.components, start=1):
-        for p in comp:
-            comps.setdefault(p.cid, []).append(ci)
-    total = 0
-    for p in code.components[i - 1]:
-        if p.role == "U" and comps[p.cid] == [i, i]:
-            total += p.sign
-    return total
+    """Sum of the signs of the crossings whose two passages both lie on
+    component i: the relations of component i whose over-arc lies on
+    component i too.  Where a closed component is cut does not change which
+    component an over-arc lies on."""
+    return sum(rel.sign for rel in wirtinger(code).relations if rel.component == rel.over[0] == i)
 
 
 # -- preferred longitudes ----------------------------------------------------------
@@ -272,7 +259,8 @@ def longitude_series(
 
     Component i's relation factors b_1^e_1, ..., b_R^e_R (over-arc series to
     the crossing sign) give the prefixes P_j = W_i b_1^e_1 ... b_j^e_j, with
-    W_i = (1+X_i)^(-f_i) for self-writhe f_i; the longitude is P_R, and arc
+    W_i = (1+X_i)^(-f_i) for the self-writhe f_i, the sign sum of the
+    factors whose over-arc lies on component i; the longitude is P_R, and arc
     (i, j+1) is P_j^-1 (1+X_i) P_j, as W_i commutes with 1+X_i.  A factor
     whose over-arc is a meridian is (1+X_v)^(+-1) exactly and costs a
     letter shift; only the iterated arcs, the over-arcs that are not
@@ -285,10 +273,13 @@ def longitude_series(
     their meridians: sweep t reads the values of sweep t-1, so it is exact
     in all degrees <= t, which the loop asserts on every iterated arc, and
     the loop ends on a witnessed fixed point, a sweep that changes no
-    iterated arc.  From sweep 2 on, a component is recomputed from its
-    first relation whose over-arc moved in the previous sweep, starting
-    from the prefixes kept before that relation; the factors before it
-    read the same arcs as when those prefixes were formed.
+    iterated arc.  A sweep recomputes a component from its first relation
+    whose over-arc moved in the previous sweep, starting from the prefixes
+    kept before that relation; the factors before it read the same arcs as
+    when those prefixes were formed.  The first sweep counts every over-arc
+    as moved and starts each component from its seeded prefixes W_i and
+    W_i^-1, kept before relation 0; the seeds and the iterated arcs'
+    starting meridians are letter shifts of 1.
     """
     if isinstance(code, LinkCode):
         raise GaussCodeError("longitudes need a string link; cut the closed link open first")
@@ -301,6 +292,7 @@ def longitude_series(
         raise GaussCodeError(f"policy rank {policy.rank} does not match {n} components")
 
     qeff = policy.max_total_degree
+    one = series_one(policy)
     relations = wirtinger(code).relations
     comps = [[rel for rel in relations if rel.component == i] for i in range(1, n + 1)]
     iterated = {rel.over for rel in relations if rel.over[1] > 1}
@@ -313,24 +305,20 @@ def longitude_series(
             if rel.under_index <= last[rel.component - 1]:
                 powers[rel.over].add(-rel.sign)
     # arcs[(key, e)] is the arc's series to the power e = +-1, from its meridian
-    arcs = {
-        (key, e): expand(Word(n, ((key[0], e),)), policy) for key, es in powers.items() for e in es
-    }
+    arcs = {(key, e): mul_letter(one, key[0], e) for key, es in powers.items() for e in es}
     kept = {}  # (i, r) -> (P, P^-1) before relation r of component i
-    out: list = [None] * n
-    moved = iterated
+    for i, rels in enumerate(comps, start=1):
+        f = sum(rel.sign for rel in rels if rel.over[0] == i)  # the self-writhe
+        kept[(i, 0)] = mul_letter(one, i, -f), (mul_letter(one, i, f) if last[i - 1] else None)
+    out = [kept[(i, 0)][0] for i in range(1, n + 1)]
+    moved = {rel.over for rel in relations}  # sweep 1 reads every over-arc afresh
     for t in range(1, qeff + 2):
         new, moved_now = dict(arcs), set()
         for i, rels in enumerate(comps, start=1):
-            if t == 1:
-                f = self_writhe(code, i)
-                start, P = 0, expand(Word(n, ((i, -f),) if f else ()), policy)
-                P_inv = expand(Word(n, ((i, f),) if f else ()), policy) if last[i - 1] else None
-            else:
-                start = next((r for r, rel in enumerate(rels) if rel.over in moved), None)
-                if start is None:
-                    continue  # every factor reads the arcs it read before
-                P, P_inv = kept[(i, start)]
+            start = next((r for r, rel in enumerate(rels) if rel.over in moved), None)
+            if start is None:
+                continue  # every factor reads the arcs it read before
+            P, P_inv = kept[(i, start)]
             for r in range(start, len(rels)):
                 over, e, inverse_too = rels[r].over, rels[r].sign, r < last[i - 1]
                 if over in iterated:

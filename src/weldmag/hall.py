@@ -27,9 +27,10 @@ degree-d exponents come from an integer solve over the principal parts,
 inverted fraction-free once per (rank, degree), then a divisibility check
 and a check of every row; either failing raises HallError.  As
 [gamma_d, gamma_d] lies in gamma_2d (Magnus, Karrass and Solitar, ch. 5),
-only degrees d <= k/2 divide with products: at d = 1 the factors form one
-reduced word, at 2 <= d <= k/2 each C^-x is sum_j binom(-x, j) u^j over the
-cached powers of u = expand(C) - 1, and at 2d > k the step is a sum.
+only degrees 2 <= d <= k/2 divide with products, each C^-x as
+sum_j binom(-x, j) u^j over the cached powers of u = expand(C) - 1.  At
+d = 1 the factors are generator powers, each a letter shift, and at
+2d > k the step is a sum.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .magnus import (
     TruncationPolicy,
     exact_dtype,
     expand,
+    mul_letter,
     scatter_sum,
     series_from_terms,
     series_mul,
@@ -311,9 +313,10 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     w is expanded once at total degree k.  At each degree d the remainder
     1 + r, r of degree >= d, has its degree-d block solved exactly for the
     exponents x, and is left-multiplied by C_m^-x_m ... C_1^-x_1:
-    at d = 1 by that reduced word's expansion, one product; at
-    2 <= d <= k/2 by each C_c^-x_c = 1 + sum_j binom(-x_c, j) u_c^j, one
-    product per nonzero x_c over the cached powers of u_c = expand(C_c) - 1;
+    at d = 1, where C_g = a_g, by one left letter shift a_g^-x_g per nonzero
+    x_g, a_1 first, and no product; at 2 <= d <= k/2 by each
+    C_c^-x_c = 1 + sum_j binom(-x_c, j) u_c^j, one product per nonzero
+    x_c over the cached powers of u_c = expand(C_c) - 1;
     at 2d > k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no product.
     ``certified`` reads the remainder's degree blocks 1..k.
     """
@@ -331,9 +334,9 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
         if 2 * d > k:
             rem = rem - TruncatedSeries(policy, _product(_powers(n, k, d), np.array(x, dtype=object)))
         elif d == 1:
-            # distinct generators, so the runs are already reduced
-            runs = tuple((g, -e) for g, e in reversed(list(enumerate(x, start=1))) if e)
-            rem = series_mul(expand(Word(n, runs), policy), rem)
+            for g, e in enumerate(x, start=1):
+                if e:
+                    rem = mul_letter(rem, g, -e, left=True)
         else:
             u, j = _powers(n, k, d), k // d
             for c, e in enumerate(x):

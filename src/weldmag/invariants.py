@@ -127,7 +127,6 @@ def milnor(L: StringLinkCode, I: Sequence[int]) -> int:
 class InvariantTable:
     """All nonzero mu(I) with r(I) <= k and 2 <= |I| <= max_len."""
 
-    rank: int
     k: int
     max_len: int
     entries: dict[tuple[int, ...], int] = field(default_factory=dict)
@@ -177,7 +176,7 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     n = L.n
     cap = n * k if max_len is None else min(max_len, n * k)
     if cap < 2:
-        return InvariantTable(rank=n, k=k, max_len=cap)
+        return InvariantTable(k=k, max_len=cap)
     return _read_table(longitude_series(L, policy=_table_policy(n, k, cap)), k, cap)
 
 
@@ -192,7 +191,7 @@ def _read_table(longitudes: Sequence[TruncatedSeries], k: int, cap: int) -> Inva
     that caps every variable at k + 1 occurrences and the degree at
     cap - 1, or at any higher degree when cap = n*k: a J read has degree at
     most n*k - 1 anyway."""
-    table = InvariantTable(rank=len(longitudes), k=k, max_len=cap)
+    table = InvariantTable(k=k, max_len=cap)
     for i, lam in enumerate(longitudes, start=1):
         for mono, v in lam.items():
             if mono and mono.count(i) < k:
@@ -396,6 +395,4 @@ def link_vanishing(
     The answer does not depend on the chosen basepoints; the test suite
     checks that rather than this function assuming it silently.
     """
-    if k < 1:
-        raise InvariantError(f"k must be >= 1, got {k}")
     return milnor_table(cut(link, basepoints), k).is_zero

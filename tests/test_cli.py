@@ -230,6 +230,15 @@ def test_moves_list_and_apply(capsys, tmp_path):
     assert json.loads(out) == {"schema": 1, "kind": "R1delete", "sites": []}
 
 
+def test_moves_output_needs_apply_and_apply_needs_a_site(capsys, tmp_path):
+    dst = tmp_path / "out.txt"
+    rc, out, err = run(capsys, "moves", SINGLE, "--kind", "R1delete", "-o", str(dst))
+    assert rc == 2 and out == "" and err == "error: -o has no effect without --apply\n"
+    assert not dst.exists()
+    rc, out, err = run(capsys, "moves", SINGLE, "--kind", "R1delete", "--apply", "0")
+    assert rc == 2 and out == "" and err == "error: no R1delete site\n"
+
+
 def test_moves_apply_json_goes_to_output_file(capsys, tmp_path):
     dst = tmp_path / "moved.json"
     argv = ("moves", COMM23, "--kind", "OCswap", "--apply", "0", "--json")

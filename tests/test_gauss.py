@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from weldmag import gauss, magnus
-from weldmag.arrows import realize_sorted
+from weldmag.arrows import (
+    insert_self_tree,
+    leaf,
+    node,
+    realize_sorted,
+    sorted_presentation,
+    surgery,
+)
 from weldmag.gauss import (
     GaussCodeError,
     LinkCode,
@@ -57,6 +64,14 @@ def test_parse_inline_separators_and_empty_component():
 def test_parse_closed_flag_picks_the_cyclic_type():
     assert isinstance(parse(SINGLE, closed=True), LinkCode)
     assert isinstance(parse(SINGLE), StringLinkCode)
+
+
+def test_string_link_and_closed_codes_stay_distinct():
+    comps = parse(SINGLE).components
+    assert StringLinkCode(comps) != LinkCode(comps)
+    assert StringLinkCode(comps) == StringLinkCode(comps)
+    assert repr(StringLinkCode(comps)).startswith("StringLinkCode(components=")
+    assert repr(LinkCode(comps)).startswith("LinkCode(components=")
 
 
 def test_parse_errors_name_the_problem():
@@ -398,3 +413,44 @@ def test_prefix_pass_matches_jacobi_on_random_codes(seed, nk, kind, policy_kind)
     else:
         pol = TruncationPolicy.component_caps(n, k, rng.randint(1, n))
     assert longitude_series(code, policy=pol) == jacobi_longitudes(code, pol)
+
+
+def crossing_writhe(code, i):
+    """The sum of the signs of the crossings whose two passages both lie on
+    component i, counted from the passages alone."""
+    on = {}
+    for c, comp in enumerate(code.components, start=1):
+        for p in comp:
+            on.setdefault(p.cid, []).append((c, p.sign))
+    return sum(ps[0][1] for ps in on.values() if [c for c, _ in ps] == [i, i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(1, 3),
+    st.sampled_from(("moved", "kinked", "stacked", "self-tree", "closed")),
+)
+def test_self_writhe_is_the_sign_sum_of_self_crossings(seed, n, kind):
+    """self_writhe, which jacobi_longitudes also reads, against a count of
+    the crossings that needs no Wirtinger presentation."""
+    rng = random.Random(seed)
+    base = sorted_code(rng, n, rng.randint(n, 3 * n))
+    if kind == "moved":
+        code = moved(rng, base, rng.randint(1, 6))
+    elif kind == "kinked":
+        code = kinked(moved(rng, base, rng.randint(0, 2)))
+    elif kind == "stacked":
+        code = stack(kinked(sorted_code(rng, n, n + 1)), moved(rng, base, rng.randint(0, 2)))
+    elif kind == "self-tree":
+        i = rng.randint(1, n)
+        conj = word_from_letters(n, oracle.random_reduced_letters(rng, n, 2))
+        t = node(leaf(i, conjugator=conj), leaf(i, twist=-1))
+        words = [word_from_letters(n, oracle.random_reduced_letters(rng, n, 3)) for _ in range(n)]
+        code = moved(rng, surgery(insert_self_tree(sorted_presentation(words), i, t)), 2)
+    else:
+        comps = kinked(moved(rng, base, rng.randint(0, 3))).components
+        offsets = [rng.randrange(max(1, len(c))) for c in comps]
+        code = LinkCode(tuple(c[b:] + c[:b] for c, b in zip(comps, offsets)))
+    for i in range(1, n + 1):
+        assert self_writhe(code, i) == crossing_writhe(code, i), (kind, i)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -28,6 +29,24 @@ def test_no_private_imports_across_modules_or_in_function_bodies(path):
             for inner in ast.walk(node):
                 if isinstance(inner, (ast.Import, ast.ImportFrom)):
                     problems.append(f"line {inner.lineno}: import inside {node.name}()")
+    assert not problems, problems
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_numpy_and_the_package(path):
+    """The one runtime dependency is numpy; any other third-party import
+    fails here before it reaches an install."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = sys.stdlib_module_names | {"numpy"}
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        problems += [f"line {node.lineno}: {top}" for top in tops if top not in allowed]
     assert not problems, problems
 
 
