@@ -29,19 +29,20 @@ bound into int64 below INT64_SAFE and Python ints (object dtype) from it
 on.  Overflow can therefore never wrap silently.  Series carry no bound
 between operations.
 
-Every product is formed by ``_convolve`` as one scatter_sum: over index
-triples (a, b, c) with mono_a * mono_b = mono_c, it adds sv[a] * tv[b]
-into slot c.  The triples come from one of two sources.  The support pairs
-are only the pairs of nonzero terms whose concatenation survives: supports
-are sorted by degree, so the b that fit after a form a prefix of the right
-factor's support, found by one searchsorted; a pair that breaks a cap is
-dropped by one add and mask of packed letter counts; and c is found by a
-searchsorted of the base-(n+1) code of a.b among the policy's codes.  The
-split triples are all (a, b, c) of the policy, read off the same codes.  A
-fixed rule in the code takes the split triples on policies with few of
-them, on operands with more than a tenth as many pairs as triples, and
-where the codes or the packed counts would not fit in int64; the rule
-changes only the speed.  No sum goes through floats.
+Every product of two series, or one degree block of it, is formed by
+``_convolve`` as one scatter_sum: over index triples (a, b, c) with
+mono_a * mono_b = mono_c, it adds sv[a] * tv[b] into slot c.  The triples
+come from one of two sources.  The support pairs are only the pairs of
+nonzero terms whose concatenation survives: supports are sorted by degree,
+so the b that fit after a form a run of the right factor's support, found
+by searchsorted; a pair that breaks a cap is dropped by one add and mask of
+packed letter counts; and c is found by a searchsorted of the base-(n+1)
+code of a.b among the policy's codes.  The split triples are all (a, b, c)
+of the policy, read off the same codes and ordered by c, so each degree's
+are one contiguous range.  A fixed rule in the code takes the split
+triples on policies with few of them, on operands with more than a tenth
+as many pairs as triples, and where the codes or the packed counts would
+not fit in int64; the rule changes only the speed.  No sum goes through floats.
 
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
@@ -52,10 +53,11 @@ product.
 
 The conjugating substitution X_v -> c_v^{-1} X_v c_v that a string link's
 action induces is a :class:`Substitution`, built once per operation from
-its conjugators.  It forms the n variable images on construction and the
-image of each monomial on first use, as its parent's image times one
-variable image, keeps those images sparse, and then applies to any number
-of series as one scatter_sum of scaled monomial images.
+its conjugators.  It forms the n variable images on construction.  A call
+forms the monomial images its input lacks one degree layer at a time, each
+image its parent's image times one variable image, all of a layer in one
+segmented product; it keeps them in one sparse pool and applies them to
+any number of series as one gather and one scatter_sum.
 """
 
 from __future__ import annotations
@@ -276,8 +278,9 @@ class _PolicySpace:
         self.size = len(self.codes)
         self.deg_start = deg_start  # deg d block is [deg_start[d], deg_start[d+1])
         self.deg = np.repeat(np.arange(q + 1, dtype=np.int64), np.diff(deg_start))
-        # sum over c of (deg c + 1): the number of split triples
-        self.triples = int(self.size + self.deg.sum())
+        # a monomial of degree d has d + 1 split triples
+        self._triple_start = np.cumsum([0, *(np.arange(1, q + 2) * np.diff(deg_start))]).tolist()
+        self.triples = self._triple_start[-1]
         self.counts = None
         if cap is not None:
             guard = int(cap.max()).bit_length()
@@ -312,6 +315,11 @@ class _PolicySpace:
         return [None] + [
             self._letter_map(lo + at, suffix[at])
             for at in (np.flatnonzero(first == v) for v in range(1, self.policy.rank + 1))]
+
+    def triple_span(self, degree: int | None = None) -> tuple[int, int]:
+        """Where in splits() the triples of the degree-d monomials lie, or
+        all triples."""
+        return (0, self.triples) if degree is None else tuple(self._triple_start[degree : degree + 2])
 
     def monos_at(self, idx: Iterable[int]) -> list[tuple[int, ...]]:
         """The monomials at the indices idx as tuples of letters, each
@@ -521,22 +529,33 @@ DENSE_BELOW_TRIPLES = 10_000
 PAIR_COST = 10
 
 
-def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
+def _segments(lo: np.ndarray | int, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A segmented arange: every position lo[j] <= p < hi[j], run by run,
+    with the run j it lies in."""
+    count = hi - lo
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) + (lo - np.cumsum(count) + count)[owner]
+
+
+def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, degree: int | None = None):
     """The index triples (a, b, c) of the pairs of nonzero terms whose
-    product survives, c the index of mono_a * mono_b, and the supports
-    (ia, ib) of sv and tv; None when the split triples of the policy are
-    the cheaper source."""
+    product survives, or with ``degree`` only those whose product has that
+    degree, c the index of mono_a * mono_b, and the supports (ia, ib) of sv
+    and tv; None when the split triples of the policy are the cheaper
+    source."""
     if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
         return None
     ia, ib = np.flatnonzero(sv != 0), np.flatnonzero(tv != 0)
-    deg = space.deg
-    # supports are sorted by degree, so the b that fit after a are a prefix of ib
-    count = np.searchsorted(deg[ib], space.max_degree - deg[ia], side="right")
-    total = int(count.sum())
-    if total * PAIR_COST > space.triples:
+    deg, right = space.deg, space.deg[ib]
+    # supports are sorted by degree, so the b that fit after a are a run of ib
+    top = space.max_degree if degree is None else degree
+    lo = 0 if degree is None else np.searchsorted(right, degree - deg[ia])
+    hi = np.searchsorted(right, top - deg[ia], side="right")
+    first, last = space.triple_span(degree)
+    if int((hi - lo).sum()) * PAIR_COST > last - first:
         return None
-    a = np.repeat(ia, count)
-    b = ib[np.arange(total) - np.repeat(np.cumsum(count) - count, count)]
+    owner, at = _segments(lo, hi)
+    a, b = ia[owner], ib[at]
     if space.counts is not None:
         fit = ((space.counts[a] + space.counts[b] + space.cap_offset) & space.cap_guard) == 0
         a, b = a[fit], b[fit]
@@ -545,21 +564,25 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray):
     return a, b, c, ia, ib
 
 
-def _convolve(
-    space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, norms: tuple[float, float] | None = None
-) -> np.ndarray:
-    """The product of the coefficient vectors sv and tv; every product in
-    this module is formed here.
+def _convolve(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray,
+              norms: tuple[float, float] | None = None, degree: int | None = None) -> np.ndarray:
+    """The product of the coefficient vectors sv and tv, or with ``degree``
+    only its degree block, the rest left zero; every product of two series
+    in this module is formed here.
 
     One scatter_sum adds sv[a] * tv[b] into slot c over the index triples
     (a, b, c) of the support pairs (see _support_pairs) or, when those are
-    the dearer source, over every split triple of the policy (splits()).
-    Each (a, b) occurs once, so ||sv||_1 * ||tv||_1 bounds every partial
-    sum; norms are those two 1-norms where the caller holds them, and are
-    read off the operands otherwise.
+    the dearer source, over the split triples of the policy (splits()),
+    whose degree-d block is one contiguous range because they are ordered
+    by c.  Each (a, b) occurs once, so ||sv||_1 * ||tv||_1 bounds every
+    partial sum; norms are those two 1-norms where the caller holds them,
+    and are read off the operands otherwise.
     """
-    pairs = _support_pairs(space, sv, tv)
-    a, b, c, ia, ib = pairs or (*space.splits(), slice(None), slice(None))
+    pairs = _support_pairs(space, sv, tv, degree)
+    if pairs is None:
+        span = slice(*space.triple_span(degree))
+        pairs = (*(x[span] for x in space.splits()), slice(None), slice(None))
+    a, b, c, ia, ib = pairs
     s_norm, t_norm = norms or (_norm(sv[ia]), _norm(tv[ib]))
     return scatter_sum(space.size, c, sv[a], tv[b], s_norm * t_norm)
 
@@ -567,24 +590,29 @@ def _convolve(
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
     """Two-sided inverse; the constant term must be +1 or -1.
 
-    Computed as the truncated geometric series on the augmentation part,
-    which terminates because that part is nilpotent in the quotient.
+    For constant +1, y solves s * y = 1 by back substitution, one degree-t
+    product per degree: y^(t) = -[(s - 1) * y]^(t) reads only y below degree
+    t, so the inverse costs about one product's worth of triples.  The
+    degree-t sum is bounded by ||s - 1||_1 times the 1-norm of y below
+    degree t; the largest, at the top degree, decides the result's dtype.
     """
     c0 = s.constant()
     if c0 == -1:
         return -series_inverse(-s)
     if c0 != 1:
         raise MagnusError(f"series with constant term {c0} is not invertible here")
-    policy = s.policy
-    u = series_one(policy) - s  # zero constant term
-    inv = series_one(policy)
-    pw = series_one(policy)
-    for _ in range(policy.max_total_degree):
-        pw = series_mul(pw, u)
-        if pw.is_zero:
-            break
-        inv = inv + pw
-    return inv
+    space = _space(s.policy)
+    u = s._vec.copy()
+    u[0] = 0
+    u_norm = _norm(u)
+    y = series_one(s.policy)._vec
+    for t in range(1, space.max_degree + 1):
+        lo, hi = space.deg_start[t], space.deg_start[t + 1]
+        layer = _convolve(space, u, y, (u_norm, _norm(y)), degree=t)[lo:hi]
+        if layer.dtype == object:
+            y = y.astype(object, copy=False)
+        y[lo:hi] = -layer
+    return TruncatedSeries(s.policy, y)
 
 
 def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
@@ -732,8 +760,9 @@ def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSer
     return TruncatedSeries(new_policy, s._vec[mapping])
 
 
-# a monomial's image under a substitution: (indices, values, 1-norm)
-_SparseImage = tuple[np.ndarray, np.ndarray, float]
+# A segmented product or an apply that would gather more terms than this
+# runs in halves instead, which bounds its working memory at about 100 MB.
+LAYER_TERMS = 1 << 20
 
 
 class Substitution:
@@ -745,16 +774,19 @@ class Substitution:
     monomials stay dropped.
 
     Build one per operation and apply it to every series that operation
-    substitutes into.  The n variable images c_v^{-1} X_v c_v are formed on
-    construction (one series_inverse and one product each), with their
-    1-norms; the inverses c_v^{-1} are kept as ``inverses``.  The image of a
-    monomial m.v is formed on first use as the image of m times the image of
-    X_v, one product, and kept.  Monomial images are sparse, so they are
-    kept as (indices, values, 1-norm), and the product forming m.v pairs
-    only their nonzero terms.  Applying the substitution to a series is one
-    scatter_sum of the scaled images of its monomials, whose partial sums
-    are bounded by sum |c_m| * ||image of m||_1 over its coefficients c_m.
-    Do not keep the object beyond the operation.
+    substitutes into.  Construction forms only the n variable images
+    c_v^{-1} X_v c_v (one series_inverse and one product each), with their
+    1-norms; the inverses c_v^{-1} are kept as ``inverses``.  A call forms
+    the images its input's monomials still lack, with their prefixes, one
+    degree layer at a time: the image of m.v is the image of m times the
+    image of X_v, read off the right-multiplication operator of X_v's image
+    (built on the first call that forms an image), and each layer is one
+    segmented product (see _form_layer).  The images are kept in one pool,
+    as indices and values with a start, stop and 1-norm per monomial.
+    Applying the substitution to a series is then one gather of its
+    monomials' images and one scatter_sum of them scaled, whose partial
+    sums are bounded by sum |c_m| * ||image of m||_1 over its coefficients
+    c_m.  Do not keep the object beyond the operation.
     """
 
     def __init__(self, conjugators: Sequence[TruncatedSeries]) -> None:
@@ -765,44 +797,106 @@ class Substitution:
             if c.policy != policy:
                 raise MagnusError("conjugator policy mismatch")
         self.policy = policy
-        self._space = _space(policy)
+        self._space = space = _space(policy)
         self.inverses = tuple(series_inverse(c) for c in conjugators)
         self.variable_images = tuple(
             series_mul(mul_letter(inv, v) - inv, c)
             for v, (inv, c) in enumerate(zip(self.inverses, conjugators), start=1)
         )
-        self._variable_norms = tuple(_norm(img._vec) for img in self.variable_images)
-        self._images: dict[int, _SparseImage] = {
-            0: (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1.0)
-        }
+        self._variable_norms = np.array([_norm(img._vec) for img in self.variable_images])
+        # the pool: monomial i's image is indices and values [start[i], stop[i]),
+        # start -1 until it is formed; the constant's image is 1.  Indices fit
+        # in int32: a policy of 2^31 monomials would not fit in memory.
+        self._start = np.full(space.size, -1, dtype=np.int64)
+        self._stop = np.zeros(space.size, dtype=np.int64)
+        self._norms = np.zeros(space.size)
+        self._start[0], self._stop[0], self._norms[0] = 0, 1, 1.0
+        self._indices = np.zeros(1, dtype=np.int32)
+        self._values = np.ones(1, dtype=np.int64)
 
     def __len__(self) -> int:
         """Number of monomial images formed so far, the constant included."""
-        return len(self._images)
+        return int((self._start >= 0).sum())
 
-    def _image(self, i: int) -> _SparseImage:
-        img = self._images.get(i)
-        if img is None:
-            space = self._space
-            path = []
-            while i not in self._images:
-                path.append(i)
-                i = int(space.parent[i])
-            img = self._images[i]
-            for j in reversed(path):
-                img = self._images[j] = self._extend(img, int(space.last[j]))
-        return img
+    @cached_property
+    def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Right multiplication by the variable images, as CSR rows: row
+        (v - 1) * size + a, [rows[r], rows[r + 1]) of targets and coeffs,
+        lists the (c, coefficient) terms of mono_a * image of X_v, read off
+        the split triples whose right factor lies in that image's support."""
+        A, B, C = self._space.splits()
+        counts, targets, coeffs = [], [], []
+        for img in self.variable_images:
+            at = np.flatnonzero(img._vec[B] != 0)
+            at = at[np.argsort(A[at], kind="stable")]
+            counts.append(np.bincount(A[at], minlength=self._space.size))
+            targets.append(C[at])
+            coeffs.append(img._vec[B[at]])
+        rows = np.cumsum(np.concatenate([[0], *counts]))
+        return rows, np.concatenate(targets), np.concatenate(coeffs)
 
-    def _extend(self, img: _SparseImage, v: int) -> _SparseImage:
-        """The image of a monomial times the image of X_v."""
-        idx, vals, norm = img
-        vec = np.zeros(self._space.size, dtype=vals.dtype)
-        vec[idx] = vals
-        out = _convolve(
-            self._space, vec, self.variable_images[v - 1]._vec, (norm, self._variable_norms[v - 1]))
-        nz = np.flatnonzero(out != 0)
-        vals = out[nz]
-        return nz, vals, _norm(vals)
+    def _form_layer(self, new: np.ndarray) -> None:
+        """Forms the images of the monomials new, all of one degree and
+        each with its parent's image formed, as one segmented product: every
+        term (i, x) of the parent's image of segment j meets row (v, i) of
+        the operator, v the segment's last letter, and one scatter_sum adds
+        the products up by (j, c).  The parent's 1-norm times X_v's image's
+        bounds every partial sum of segment j.  The nonzero sums are
+        appended to the pool."""
+        size = self._space.size
+        rows, targets, coeffs = self._operator
+        parent, v = self._space.parent[new], self._space.last[new] - 1
+        start, stop = self._start[parent], self._stop[parent]
+        fits = len(new) == 1 or (stop - start).sum() <= LAYER_TERMS
+        if fits:
+            seg, at = _segments(start, stop)
+            row = v[seg] * size + self._indices[at]
+            lo, hi = rows[row], rows[row + 1]
+            fits = len(new) == 1 or (hi - lo).sum() <= LAYER_TERMS
+        if not fits:
+            for half in np.array_split(new, 2):
+                self._form_layer(half)
+            return
+        term, op = _segments(lo, hi)
+        slots, where = np.unique(seg[term] * size + targets[op], return_inverse=True)
+        bound = (self._norms[parent] * self._variable_norms[v]).max()
+        sums = scatter_sum(len(slots), where, self._values[at[term]], coeffs[op], bound)
+        keep = np.flatnonzero(sums != 0)
+        slots, sums = slots[keep], sums[keep]
+        owner = slots // size
+        count = np.bincount(owner, minlength=len(new))
+        try:
+            norms = np.bincount(owner, np.abs(sums).astype(np.float64), len(new))
+        except OverflowError:
+            norms = np.full(len(new), math.inf)
+        if norms.max() < INT64_SAFE:
+            sums = sums.astype(np.int64)
+        # the pool is only ever gathered from, never viewed, so it grows in place
+        end = len(self._indices)
+        if sums.dtype == object:
+            self._values = self._values.astype(object, copy=False)
+        self._indices.resize(end + len(slots), refcheck=False)
+        self._values.resize(end + len(slots), refcheck=False)
+        self._indices[end:], self._values[end:] = slots - owner * size, sums
+        self._start[new] = end + np.cumsum(count) - count
+        self._stop[new] = self._start[new] + count
+        self._norms[new] = norms
+
+    def _form(self, idx: np.ndarray) -> None:
+        """Forms the images of the monomials idx and of their prefixes that
+        are not formed yet, one layer per degree, lowest first."""
+        parent, start = self._space.parent, self._start
+        missing = np.zeros(len(start), dtype=bool)
+        layer = idx[start[idx] < 0]
+        while len(layer):
+            missing[layer] = True
+            layer = parent[layer]
+            layer = layer[start[layer] < 0]
+        missing = np.flatnonzero(missing)
+        cuts = np.searchsorted(missing, self._space.deg_start)
+        for lo, hi in zip(cuts, cuts[1:]):
+            if hi > lo:
+                self._form_layer(missing[lo:hi])
 
     def __call__(self, s: TruncatedSeries) -> TruncatedSeries:
         if s.policy != self.policy:
@@ -810,16 +904,21 @@ class Substitution:
         nz = np.flatnonzero(s._vec != 0)
         if not len(nz):
             return s
-        idx, vals, norms = zip(*map(self._image, nz.tolist()))
+        self._form(nz)
         coeffs = s._vec[nz]
-        out = scatter_sum(
-            self._space.size,
-            np.concatenate(idx),
-            np.repeat(coeffs, list(map(len, idx))),
-            np.concatenate(vals),
-            _norm(coeffs, np.array(norms)),
-        )
-        return TruncatedSeries(self.policy, out)
+        return TruncatedSeries(self.policy, self._apply(nz, coeffs, _norm(coeffs, self._norms[nz])))
+
+    def _apply(self, idx: np.ndarray, coeffs: np.ndarray, bound: float) -> np.ndarray:
+        """The sum of coeffs[j] times the image of idx[j], as one gather and
+        one scatter_sum, or as the sum of two halves where that would gather
+        more than LAYER_TERMS terms; bound covers every partial sum."""
+        start, stop = self._start[idx], self._stop[idx]
+        if len(idx) > 1 and (stop - start).sum() > LAYER_TERMS:
+            half = len(idx) // 2
+            return (self._apply(idx[:half], coeffs[:half], bound)
+                    + self._apply(idx[half:], coeffs[half:], bound))
+        term, at = _segments(start, stop)
+        return scatter_sum(self._space.size, self._indices[at], coeffs[term], self._values[at], bound)
 
 
 # -- serialization ---------------------------------------------------------------

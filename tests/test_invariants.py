@@ -4,7 +4,7 @@ import random
 import pytest
 
 import _oracle as oracle
-from weldmag import invariants, magnus
+from weldmag import cli, invariants, magnus
 from weldmag.arrows import insert_self_tree, leaf, node, realize_sorted, sorted_presentation, surgery
 from weldmag.gauss import (
     applicable_sites,
@@ -403,42 +403,73 @@ def test_action_invert_reuses_the_substitution_inverses(monkeypatch):
 
 
 def test_action_invert_forms_each_monomial_image_once(monkeypatch):
-    """Every fixed-point round reuses phi's substitution: it forms at most
-    one product per monomial image it keeps, plus the n variable images
-    (one series_inverse of at most q products and one product each)."""
-    products = [0]
-    real = magnus._convolve
+    """Every fixed-point round reuses phi's substitution.  A call forms
+    the images its input still lacks in at most one segmented product per
+    degree layer it fills, and its only other sum is the apply; the images
+    kept are exactly the prefix closure of the supports applied, the
+    constant included."""
+    sums = [0]
+    real = magnus.scatter_sum
 
     def counting(*args):
-        products[0] += 1
+        sums[0] += 1
         return real(*args)
 
     subs = []
 
     class Recording(magnus.Substitution):
         def __init__(self, conjugators):
-            before = products[0]
             super().__init__(conjugators)
             self.conjugators = tuple(conjugators)
-            self.products, self.calls = products[0] - before, 0
+            self.applied, self.layers = [], []
             subs.append(self)
 
+        def _form_layer(self, new):
+            (degree,) = set(self._space.deg[new].tolist())
+            self.layers[-1].append(degree)
+            return super()._form_layer(new)
+
         def __call__(self, s):
-            before = products[0]
+            self.applied.append(s)
+            self.layers.append([])
+            before = sums[0]
             out = super().__call__(s)
-            self.products += products[0] - before
-            self.calls += 1
+            assert sums[0] - before == len(self.layers[-1]) + 1
             return out
 
     rng = random.Random(59)
     phi = action(random_realized(rng, 3, 6), 2)
-    monkeypatch.setattr(magnus, "_convolve", counting)
+    monkeypatch.setattr(magnus, "scatter_sum", counting)
     monkeypatch.setattr(invariants, "Substitution", Recording)
     action_invert(phi)
     (sub,) = [s for s in subs if all(a is b for a, b in zip(s.conjugators, phi.conjugators))]
-    n, q = phi.rank, phi.policy.max_total_degree
-    assert len(sub) > n + 1 and sub.calls >= 2 * n
-    assert sub.products <= (len(sub) - 1) + n * (q + 1)
+    n = phi.rank
+    assert len(sub.applied) >= 2 * n and any(sub.layers)
+    assert all(len(layers) == len(set(layers)) for layers in sub.layers)
+    closure = {()}
+    for s in sub.applied:
+        closure.update(m[:j] for m, _ in s.items() for j in range(len(m)))
+        closure.update(m for m, _ in s.items())
+    assert len(sub) == len(closure) > n + 1
+
+
+def test_images_and_action_compare_never_build_the_operator(monkeypatch):
+    """Construction forms only the inverses and the variable images; the
+    right-multiplication operator is built by the first call that forms a
+    monomial image."""
+
+    def refuse(self):
+        raise AssertionError("operator built")
+
+    monkeypatch.setattr(magnus.Substitution, "_operator", property(refuse))
+    rng = random.Random(61)
+    L, M = random_realized(rng, 3, 5), random_realized(rng, 3, 5)
+    phi = action(L, 2)
+    assert len(phi.images) == 3
+    argv = ["compare", serialize(L), serialize(M), "--k", "2", "--mode", "action"]
+    assert cli.main(argv) in (0, 1)
+    with pytest.raises(AssertionError, match="operator built"):
+        action_compose(phi, action(M, 2))
 
 
 def test_action_ignores_degree_k_self_trees():

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
@@ -11,6 +11,7 @@ from weldmag import hall, magnus
 from weldmag.magnus import (
     MagnusError,
     Substitution,
+    TruncatedSeries,
     TruncationPolicy,
     _PolicySpace,
     coefficient,
@@ -162,22 +163,44 @@ KERNEL_POLICIES = st.one_of(
 )
 
 
-def test_series_mul_kernel_matches_oracle(monkeypatch):
-    """Both product paths against the dict oracle, from one-term operands
-    to full support, on int64 and (coefficients times 2**62 + 1, past
-    float precision) on Python ints.  The size floor of the pair path is
-    lifted so that the pair count alone picks the path on these small
-    policies; both paths must run."""
+def record_paths(monkeypatch):
+    """Lifts the size floor of the pair path, so that the pair count alone
+    picks the path on small policies, and counts the products each triple
+    source forms."""
     monkeypatch.setattr(magnus, "DENSE_BELOW_TRIPLES", 0)
     paths = {"pairs": 0, "dense": 0}
     real = magnus._support_pairs
 
-    def recording(space, sv, tv):
-        pairs = real(space, sv, tv)
+    def recording(space, sv, tv, *degree):
+        pairs = real(space, sv, tv, *degree)
         paths["dense" if pairs is None else "pairs"] += 1
         return pairs
 
     monkeypatch.setattr(magnus, "_support_pairs", recording)
+    return paths
+
+
+def kernel_operands(rng, policy, support, big):
+    """Two random operands, from one term to full support, as dicts; the
+    first scaled past float precision when big."""
+    space = magnus._space(policy)
+    monos = space.monos_at(range(space.size))
+
+    def operand(full):
+        picks = monos if full else rng.sample(monos, rng.randint(1, min(len(monos), 12)))
+        return {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in picks}
+
+    da, db = operand(support == "full"), operand(support != "sparse")
+    if big:
+        da = {m: c * (2**62 + 1) for m, c in da.items()}
+    return da, db
+
+
+def test_series_mul_kernel_matches_oracle(monkeypatch):
+    """Both product paths against the dict oracle, from one-term operands
+    to full support, on int64 and (coefficients times 2**62 + 1, past
+    float precision) on Python ints; both paths must run."""
+    paths = record_paths(monkeypatch)
 
     @given(
         KERNEL_POLICIES,
@@ -187,22 +210,60 @@ def test_series_mul_kernel_matches_oracle(monkeypatch):
     )
     @settings(max_examples=80, deadline=None)
     def check(policy, seed, support, big):
-        rng = random.Random(seed)
-        space = magnus._space(policy)
-        monos = space.monos_at(range(space.size))
-
-        def operand(full):
-            picks = monos if full else rng.sample(monos, rng.randint(1, min(len(monos), 12)))
-            return {m: rng.choice((-1, 1)) * rng.randint(1, 9) for m in picks}
-
-        da, db = operand(support == "full"), operand(support != "sparse")
-        if big:
-            da = {m: c * (2**62 + 1) for m, c in da.items()}
+        da, db = kernel_operands(random.Random(seed), policy, support, big)
         a, b = series_from_terms(policy, da), series_from_terms(policy, db)
         for x, y, dx, dy in ((a, b, da, db), (b, a, db, da)):
             got = series_mul(x, y)
             assert as_dict(got) == oracle.mul(dx, dy, policy.max_total_degree, policy.caps)
             assert (got._vec.dtype == object) == big
+
+    check()
+    assert paths["pairs"] and paths["dense"], paths
+
+
+def test_convolve_degree_block_matches_the_full_product(monkeypatch):
+    """_convolve(..., degree=t) is degree block t of the oracle's product
+    and zero elsewhere, on both triple sources."""
+    paths = record_paths(monkeypatch)
+
+    @given(
+        KERNEL_POLICIES,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["sparse", "mixed", "full"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(policy, seed, support, big):
+        da, db = kernel_operands(random.Random(seed), policy, support, big)
+        space = magnus._space(policy)
+        want = oracle.mul(da, db, policy.max_total_degree, policy.caps)
+        sv, tv = series_from_terms(policy, da)._vec, series_from_terms(policy, db)._vec
+        for t in range(policy.max_total_degree + 1):
+            got = TruncatedSeries(policy, magnus._convolve(space, sv, tv, degree=t))
+            assert as_dict(got) == {m: c for m, c in want.items() if len(m) == t}
+
+    check()
+    assert paths["pairs"] and paths["dense"], paths
+
+
+@pytest.mark.parametrize("constant", [1, -1])
+def test_series_inverse_matches_oracle(monkeypatch, constant):
+    """Back substitution one degree at a time against the oracle's
+    geometric series, on both triple sources and past int64."""
+    paths = record_paths(monkeypatch)
+
+    @given(
+        KERNEL_POLICIES,
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(["sparse", "mixed", "full"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def check(policy, seed, support, big):
+        da, _ = kernel_operands(random.Random(seed), policy, support, big)
+        da[()] = constant
+        got = series_inverse(series_from_terms(policy, da))
+        assert as_dict(got) == oracle.inverse(da, policy.max_total_degree, policy.caps)
 
     check()
     assert paths["pairs"] and paths["dense"], paths
@@ -366,6 +427,84 @@ def test_substitution_matches_oracle_on_caps_policies(caps, q, seed, big):
         want = oracle.substitute(ds, dconjs, pol.max_total_degree, pol.caps)
         assert as_dict(sub(s)) == want
         assert as_dict(Substitution(conjs)(s)) == want
+
+
+SUBSTITUTION_POLICIES = st.one_of(
+    st.builds(TruncationPolicy.uniform_caps, st.integers(1, 3), st.integers(1, 2)),
+    st.integers(2, 3).flatmap(
+        lambda n: st.builds(
+            TruncationPolicy.component_caps, st.just(n), st.integers(1, 2), st.integers(1, n)
+        )
+    ),
+    st.builds(TruncationPolicy.total_degree, st.integers(1, 3), st.integers(1, 4)),
+)
+
+
+def test_layered_substitution_matches_oracle(monkeypatch):
+    """One Substitution applied to three series: the first supported in a
+    middle degree, the later ones in every degree, so that later calls form
+    layers both below and above those already formed.  Big conjugators put
+    images past int64 into the pool beside int64 ones.  Every result must
+    match the oracle, and every segmented product forms one degree."""
+    seen = {"below": 0, "above": 0, "mixed": 0}
+    real = Substitution._form_layer
+
+    def recording(self, new):
+        (degree,) = set(self._space.deg[new].tolist())
+        self.layers.append(degree)
+        return real(self, new)
+
+    monkeypatch.setattr(Substitution, "_form_layer", recording)
+
+    @given(SUBSTITUTION_POLICIES, st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    @example(TruncationPolicy.uniform_caps(2, 2), 5, True)  # its pool mixes
+    @settings(max_examples=40, deadline=None)
+    def check(policy, seed, big):
+        rng = random.Random(seed)
+        q, caps = policy.max_total_degree, policy.caps
+        conjs, dconjs = random_conjugators(rng, policy)
+        monos = expand_all_monos(policy)
+        if big:
+            m = rng.choice([m for m, _ in monos if m])
+            dconjs[0] = oracle.add(dconjs[0], {m: 2**63 + 1})
+            conjs[0] = series_from_terms(policy, dconjs[0])
+        mid = (q + 1) // 2
+        first = rng.choice([m for m, _ in monos if len(m) == mid])
+        below = [m for m, _ in monos if len(m) < mid and m != first[: len(m)]]
+        above = [m for m, _ in monos if len(m) > mid]
+        supports = [[first], [rng.choice(x) for x in (below, above) if x]]
+        supports.append([m for m, _ in rng.sample(monos, min(5, len(monos)))])
+        sub = Substitution(conjs)
+        sub.layers = []
+        for call, support in enumerate(supports):
+            ds = {m: rng.randint(-6, 6) or 1 for m in support}
+            before = len(sub.layers)
+            assert as_dict(sub(series_from_terms(policy, ds))) == oracle.substitute(ds, dconjs, q, caps)
+            if call == 1:
+                assert any(d < mid for d in sub.layers[before:]) == bool(below)
+                assert any(d > mid for d in sub.layers[before:]) == bool(above)
+                seen["below"] += bool(below)
+                seen["above"] += bool(above)
+        values = sub._values.tolist()
+        seen["mixed"] += any(abs(x) >= 2**63 for x in values) and any(0 < abs(x) < 2**63 for x in values)
+
+    check()
+    assert all(seen.values()), seen
+
+
+def test_substitution_on_python_int_codes_matches_oracle():
+    """Rank 1 at k = 62: the codes pass int64, so products take the split
+    triples; images formed over two calls, the second below and above the
+    first's layers."""
+    policy = TruncationPolicy.uniform_caps(1, 62)
+    assert not magnus._space(policy).pairs_fit
+    q = policy.max_total_degree
+    dconj = {(): 1, (1,): 3, (1, 1): -2, (1,) * 5: 7}
+    sub = Substitution([series_from_terms(policy, dconj)])
+    for ds in ({(1,) * 30: 2, (1,) * 31: -1}, {(1,): 5, (1,) * 10: -3, (1,) * 62: 4}):
+        got = sub(series_from_terms(policy, ds))
+        assert as_dict(got) == oracle.substitute(ds, [dconj], q, policy.caps)
+    assert len(sub) == 63
 
 
 def test_substitution_object_path_matches_oracle():
@@ -642,6 +781,15 @@ def substitution_case(c):
     return bound, lambda: (sub(), oracle.substitute(s, SUB_CONJUGATORS, Q))
 
 
+def inverse_case(c):
+    """(1 + c s)^-1: the top degree's sum, the largest, is bounded by
+    ||s - 1||_1 ||y||_1 for y the inverse below the top degree."""
+    d = {(): 1, **scaled(BASE_S, c)}
+    want = oracle.inverse(d, Q)
+    below = sum(abs(x) for m, x in want.items() if len(m) < Q)
+    return 5 * c * below, lambda: (magnus.series_inverse(series(d)), want)
+
+
 def hall_product_case(c):
     """Row norms 3 and 4 times max |v| = 2c."""
     a, v = [[1, -2, 0], [0, 3, 1]], [c, -c, 2 * c]
@@ -661,6 +809,7 @@ THRESHOLD_CASES = {
     },
     "expand": expand_case,
     "substitution": substitution_case,
+    "inverse": inverse_case,
     "hall-product": hall_product_case,
 }
 
