@@ -9,7 +9,7 @@ and expanded; Milnor numbers are coefficients of those expansions.
 
 from weldmag.gauss import longitude_series, parse, serialize, wirtinger
 from weldmag.invariants import milnor, milnor_table
-from weldmag.magnus import format_series
+from weldmag.magnus import TruncationPolicy, format_series
 
 # two strands, one positive crossing: strand 1 goes under strand 2
 code = parse("1: U1+ / 2: O1+")
@@ -23,7 +23,7 @@ for rel in pres.relations:
     print("  relation:", rel)
 
 # longitudes as truncated series (degree 2 is plenty here)
-lams = longitude_series(code, q=2)
+lams = longitude_series(code, TruncationPolicy.total_degree(code.n, 2))
 print("longitude of strand 1:")
 print(format_series(lams[0]))
 

@@ -21,6 +21,7 @@ from weldmag.gauss import (
     serialize,
 )
 from weldmag.invariants import link_vanishing, milnor_table
+from weldmag.magnus import TruncationPolicy
 
 code = parse("1: U1+ U2- / 2: O1+ O2-")
 print("start:", serialize(code).replace("\n", " / "))
@@ -39,7 +40,8 @@ for _ in range(4):
         moved = apply_move(moved, kind, rng.choice(sites))
         print("after", kind, "->", serialize(moved).replace("\n", " / "))
 
-same = longitude_series(moved, q=3) == longitude_series(code, q=3)
+pol = TruncationPolicy.total_degree(code.n, 3)
+same = longitude_series(moved, pol) == longitude_series(code, pol)
 print("longitudes unchanged:", same)
 
 # close the strands into a link; the clasp has linking number 2 with

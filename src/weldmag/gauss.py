@@ -244,17 +244,15 @@ def self_writhe(code: StringLinkCode | LinkCode, i: int) -> int:
     component i: the relations of component i whose over-arc lies on
     component i too.  Where a closed component is cut does not change which
     component an over-arc lies on."""
+    if not 1 <= i <= code.n:
+        raise GaussCodeError(f"component {i} out of range 1..{code.n}")
     return sum(rel.sign for rel in wirtinger(code).relations if rel.component == rel.over[0] == i)
 
 
 # -- preferred longitudes ----------------------------------------------------------
 
 
-def longitude_series(
-    code: StringLinkCode,
-    q: int | None = None,
-    policy: TruncationPolicy | None = None,
-) -> tuple[TruncatedSeries, ...]:
+def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[TruncatedSeries, ...]:
     """Magnus expansions of the preferred longitudes, one series per component.
 
     Component i's relation factors b_1^e_1, ..., b_R^e_R (over-arc series to
@@ -284,11 +282,7 @@ def longitude_series(
     if isinstance(code, LinkCode):
         raise GaussCodeError("longitudes need a string link; cut the closed link open first")
     n = code.n
-    if policy is None:
-        if q is None or q < 1:
-            raise GaussCodeError("longitude_series needs q >= 1 or an explicit policy")
-        policy = TruncationPolicy.total_degree(n, q)
-    elif policy.rank != n:
+    if policy.rank != n:
         raise GaussCodeError(f"policy rank {policy.rank} does not match {n} components")
 
     qeff = policy.max_total_degree

@@ -25,17 +25,17 @@ the action's conjugators.  Each route reads its witness table off the
 longitudes of its own pass.
 
 The action of a string link is stored as a KReducedAction holding only one
-conjugator series per component in the all-caps-k quotient, since the
-action sends each meridian to a conjugate of itself.  Each conjugator's
-canonical residue in the per-component quotient (the equality test) and
-the generator images are derived from the conjugators on first read; the
-image of a_i = 1 + X_i is 1 plus the variable image c_i^{-1} X_i c_i that
-magnus.Substitution forms.  Actions compose like stacked string links and
-invert by a successive-approximation solve that certifies itself.  Both
-build phi's substitution once per call: composition applies it to each of
-psi's conjugators, inversion to every round for every conjugator and then
-to the certifying composition phi then psi.  The substitution is not kept
-on the action, so a stored action holds only its conjugators.
+conjugator series per component, since the action sends each meridian to a
+conjugate of itself; their policy, the all-caps-k quotient uniform_caps(n,
+k), fixes n and k.  Each conjugator's residue, the longitude route's
+retruncation, is the equality test; the generator images are derived on
+first read, the image of a_i = 1 + X_i being 1 plus the variable image
+c_i^{-1} X_i c_i that magnus.Substitution forms.  Equal residues give equal
+images.  Actions compose like stacked string links and invert by a
+successive-approximation solve, certified by the residues of the
+compositions with phi on both sides.  Both build phi's substitution once
+per call: composition applies it to each of psi's conjugators, inversion to
+every round for every conjugator and then to the composition phi then psi.
 """
 
 from __future__ import annotations
@@ -235,13 +235,8 @@ def compare(
         diff = milnor_table(L, k).first_difference(milnor_table(M, k))
         return diff is None, diff
     if mode == "longitude":
-        pol = _table_policy(n, k, n * k)
-        lams = [longitude_series(X, policy=pol) for X in (L, M)]
-        residues = [
-            [retruncate(lam, TruncationPolicy.component_caps(n, k, i)) for i, lam in enumerate(x, 1)]
-            for x in lams
-        ]
-        equal = residues[0] == residues[1]
+        lams = [longitude_series(X, policy=_table_policy(n, k, n * k)) for X in (L, M)]
+        equal = _residues(lams[0], k) == _residues(lams[1], k)
     elif mode == "action":
         phi, psi = action(L, k), action(M, k)
         equal = phi.images == psi.images
@@ -252,6 +247,13 @@ def compare(
         return True, None
     mine, theirs = (_read_table(x, k, n * k) for x in lams)
     return False, mine.first_difference(theirs)
+
+
+def _residues(series: Sequence[TruncatedSeries], k: int) -> tuple[TruncatedSeries, ...]:
+    """Series i retruncated to component_caps(n, k, i): longitude i's class,
+    or conjugator i's residue."""
+    caps = TruncationPolicy.component_caps
+    return tuple(retruncate(s, caps(len(series), k, i)) for i, s in enumerate(series, start=1))
 
 
 def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -> bool:
@@ -269,35 +271,53 @@ class KReducedAction:
     every variable capped at k occurrences.
 
     Only the conjugators are stored: the series of the c_i in the all-caps
-    policy.  Two values follow from them and are derived on first read:
-    residues, their canonical forms with X_i additionally capped at k - 1
-    occurrences (the congruence test), and images, the series of the
-    conjugated generators.
+    policy uniform_caps(n, k), which also fixes the rank n and the level k.
+    Two values follow from them and are derived on first read: residues,
+    their canonical forms with X_i additionally capped at k - 1 occurrences
+    (the congruence test), and images, the series of the conjugated
+    generators.
+
+    Equal residues give equal images.  Residue i drops exactly the monomials
+    in which X_i occurs k times, so conjugators with equal residues are d and
+    d(1 + f), every monomial of f holding X_i k times.  Every term of
+    d^-1 X_i d holds X_i, so its products with f on either side hold X_i
+    k + 1 times and vanish: 1 + f commutes with d^-1 X_i d, and both
+    conjugators give a_i the same image.
     """
 
-    k: int
-    rank: int
     conjugators: tuple[TruncatedSeries, ...]
+
+    def __post_init__(self) -> None:
+        pols = {c.policy for c in self.conjugators}
+        pol = next(iter(pols)) if len(pols) == 1 else None
+        k = pol.caps[0] - 1 if pol is not None and pol.caps is not None else 0
+        if k < 1 or pol != TruncationPolicy.uniform_caps(len(self.conjugators), k):
+            raise InvariantError(
+                "an action needs one conjugator per variable under one uniform_caps(n, k) "
+                f"policy with k >= 1, got {len(self.conjugators)} under {sorted(map(repr, pols))}"
+            )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KReducedAction):
             return NotImplemented
-        return (
-            self.k == other.k
-            and self.rank == other.rank
-            and self.residues == other.residues
-        )
+        # residues carry their component_caps policy, so n and k agree too
+        return self.residues == other.residues
 
     @property
     def policy(self) -> TruncationPolicy:
-        return TruncationPolicy.uniform_caps(self.rank, self.k)
+        return self.conjugators[0].policy
+
+    @property
+    def rank(self) -> int:
+        return self.policy.rank
+
+    @property
+    def k(self) -> int:
+        return self.policy.caps[0] - 1
 
     @cached_property
     def residues(self) -> tuple[TruncatedSeries, ...]:
-        return tuple(
-            retruncate(c, TruncationPolicy.component_caps(self.rank, self.k, i))
-            for i, c in enumerate(self.conjugators, start=1)
-        )
+        return _residues(self.conjugators, self.k)
 
     @cached_property
     def images(self) -> tuple[TruncatedSeries, ...]:
@@ -307,8 +327,7 @@ class KReducedAction:
 
 
 def identity_action(n: int, k: int) -> KReducedAction:
-    pol = TruncationPolicy.uniform_caps(n, k)
-    return KReducedAction(k, n, (series_one(pol),) * n)
+    return KReducedAction((series_one(TruncationPolicy.uniform_caps(n, k)),) * n)
 
 
 def action(L: StringLinkCode, k: int) -> KReducedAction:
@@ -316,8 +335,7 @@ def action(L: StringLinkCode, k: int) -> KReducedAction:
     longitude series in the all-caps quotient."""
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
-    pol = TruncationPolicy.uniform_caps(L.n, k)
-    return KReducedAction(k, L.n, longitude_series(L, policy=pol))
+    return KReducedAction(longitude_series(L, policy=TruncationPolicy.uniform_caps(L.n, k)))
 
 
 def action_apply(phi: KReducedAction, w: Word) -> TruncatedSeries:
@@ -330,13 +348,6 @@ def action_apply(phi: KReducedAction, w: Word) -> TruncatedSeries:
     return out
 
 
-def _check_same_params(phi: KReducedAction, psi: KReducedAction) -> None:
-    if (phi.k, phi.rank) != (psi.k, psi.rank):
-        raise InvariantError(
-            f"action parameters differ: (k={phi.k}, n={phi.rank}) vs (k={psi.k}, n={psi.rank})"
-        )
-
-
 def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:
     """The action of the stacking: phi's link at the bottom, psi's on top.
 
@@ -344,30 +355,35 @@ def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:
     longitude of the stacked link traverses the bottom part first and then
     the top part rewritten through the bottom.
     """
-    _check_same_params(phi, psi)
+    if phi.policy != psi.policy:
+        raise InvariantError(
+            f"action parameters differ: (k={phi.k}, n={phi.rank}) vs (k={psi.k}, n={psi.rank})"
+        )
     return _compose(phi, psi, Substitution(phi.conjugators))
 
 
 def _compose(phi: KReducedAction, psi: KReducedAction, sub: Substitution) -> KReducedAction:
     """action_compose with phi's substitution already built."""
-    conj = tuple(
+    return KReducedAction(tuple(
         series_mul(c_phi, sub(c_psi)) for c_phi, c_psi in zip(phi.conjugators, psi.conjugators)
-    )
-    return KReducedAction(phi.k, phi.rank, conj)
+    ))
 
 
 def action_invert(phi: KReducedAction) -> KReducedAction:
     """The inverse action, found by solving phi(m_i) = c_i(phi)^(-1) with a
     degree-raising fixed-point iteration, then certified by composing back
     to the identity on both sides.  One substitution of phi serves every
-    round for every conjugator and the composition phi then psi."""
-    pol = phi.policy
-    n, k = phi.rank, phi.k
+    round for every conjugator and the composition phi then psi.
+
+    The certificate compares residues only: equal residues give equal
+    images (see KReducedAction), so a composite with the identity's
+    residues has the identity's images, and they are not formed.
+    """
     sub = Substitution(phi.conjugators)
     conj = []
     for target in sub.inverses:
         m = target
-        for _ in range(pol.max_total_degree + 1):
+        for _ in range(phi.policy.max_total_degree + 1):
             # m <- target - (phi(m) - m); the correction degree rises each round
             new = target - (sub(m) - m)
             if new == m:
@@ -376,10 +392,10 @@ def action_invert(phi: KReducedAction) -> KReducedAction:
         else:
             raise InversionError("fixed point not reached within the degree bound")
         conj.append(m)
-    psi = KReducedAction(k, n, tuple(conj))
-    ident = identity_action(n, k)
+    psi = KReducedAction(tuple(conj))
+    ident = identity_action(phi.rank, phi.k)
     for composite in (_compose(phi, psi, sub), action_compose(psi, phi)):
-        if composite != ident or composite.images != ident.images:
+        if composite != ident:
             raise InversionError("composing with the computed inverse is not the identity")
     return psi
 

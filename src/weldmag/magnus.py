@@ -686,6 +686,8 @@ def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int)
 def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
     """s * (1 + X_v)^mult, or (1 + X_v)^mult * s when ``left``: the Magnus
     image of a_v^mult applied by letter shifts, with no product."""
+    if not 1 <= v <= s.policy.rank:
+        raise MagnusError(f"variable {v} out of range 1..{s.policy.rank}")
     space = _space(s.policy)
     letter_map = space.prepend[v] if left else space.append[v]
     return TruncatedSeries(s.policy, _mul_run(space, letter_map, s._vec, mult))

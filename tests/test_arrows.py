@@ -122,7 +122,7 @@ def test_realizer_prescribes_longitudes():
     assert l2.is_one and l3.is_one
 
     comm = realize_sorted([commutator(generator(3, 2), generator(3, 3)), empty(3), empty(3)])
-    (l1,) = longitude_series(comm, q=3)[:1]
+    (l1,) = longitude_series(comm, TruncationPolicy.total_degree(3, 3))[:1]
     assert l1.coefficient((3, 2)) == 1
     assert l1.coefficient((2, 3)) == -1
 
@@ -155,7 +155,8 @@ def test_cancelling_pair_leaves_longitudes_alone():
             (),
         ),
     )
-    assert longitude_series(surgery(padded), q=3) == longitude_series(surgery(base), q=3)
+    pol = TruncationPolicy.total_degree(3, 3)
+    assert longitude_series(surgery(padded), pol) == longitude_series(surgery(base), pol)
 
 
 def test_insert_self_tree_validation_and_shape():

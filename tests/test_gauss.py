@@ -40,7 +40,8 @@ COMM23 = "1: U1+ U2- U3- U4+ / 2: O1+ O3- / 3: O2- O4+"
 
 
 def lam(text, q=3):
-    return longitude_series(parse(text), q=q)
+    code = parse(text)
+    return longitude_series(code, TruncationPolicy.total_degree(code.n, q))
 
 
 def test_parse_and_serialize_round_trip():
@@ -112,6 +113,13 @@ def test_self_writhe():
     assert self_writhe(code, 2) == 0
 
 
+def test_self_writhe_rejects_components_out_of_range():
+    for code in (parse(SINGLE), parse(SINGLE, closed=True)):
+        for i in (-1, 0, 3):
+            with pytest.raises(GaussCodeError, match=rf"component {i} out of range 1\.\.2"):
+                self_writhe(code, i)
+
+
 def test_longitudes_trivial_and_single_crossing():
     l1, l2 = lam("1: / 2:", q=2)
     assert l1.is_one and l2.is_one
@@ -143,12 +151,12 @@ def test_longitude_of_commutator_presentation():
 
 def test_longitude_argument_validation():
     code = parse(SINGLE)
-    with pytest.raises(GaussCodeError, match="q >= 1 or an explicit policy"):
+    with pytest.raises(TypeError, match="policy"):
         longitude_series(code)
     with pytest.raises(GaussCodeError, match="does not match"):
         longitude_series(code, policy=TruncationPolicy.total_degree(3, 2))
     with pytest.raises(GaussCodeError, match="cut the closed link open"):
-        longitude_series(parse(SINGLE, closed=True), q=2)
+        longitude_series(parse(SINGLE, closed=True), TruncationPolicy.total_degree(2, 2))
 
 
 def test_move_sites_shapes():
@@ -199,11 +207,12 @@ def test_ocswap_is_an_involution():
 def test_longitudes_invariant_under_moves():
     rng = random.Random(11)
     base = parse(COMM23)
-    before = longitude_series(base, q=3)
+    pol = TruncationPolicy.total_degree(3, 3)
+    before = longitude_series(base, pol)
     for kind in MOVE_KINDS:
         sites = applicable_sites(base, kind)
         for site in rng.sample(sites, min(4, len(sites))):
-            after = longitude_series(apply_move(base, kind, site), q=3)
+            after = longitude_series(apply_move(base, kind, site), pol)
             assert after == before, (kind, site)
 
 
@@ -211,7 +220,7 @@ def test_stack_shifts_crossings_and_adds_first_order_terms():
     one = parse(SINGLE)
     two = stack(one, one)
     assert serialize(two) == "1: U1+ U2+\n2: O1+ O2+"
-    l1, _ = longitude_series(two, q=2)
+    l1, _ = longitude_series(two, TruncationPolicy.total_degree(2, 2))
     assert l1.coefficient((2,)) == 2
     with pytest.raises(GaussCodeError, match="component counts differ"):
         stack(one, parse("1: O1+ U1+"))

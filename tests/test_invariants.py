@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracle as oracle
 from weldmag import cli, invariants, magnus
@@ -30,7 +33,14 @@ from weldmag.invariants import (
     milnor_table,
     r_index,
 )
-from weldmag.magnus import TruncationPolicy, expand, one_plus_x, series_mul
+from weldmag.magnus import (
+    TruncationPolicy,
+    expand,
+    one_plus_x,
+    series_from_terms,
+    series_mul,
+    series_one,
+)
 from weldmag.words import commutator, empty, generator, invert, multiply, parse_word, word_from_letters
 
 SINGLE = parse("1: U1+ / 2: O1+")
@@ -134,7 +144,7 @@ def total_degree_table(code, k, cap):
     """The table read the direct way: total-degree longitudes through
     degree cap - 1, then every index tuple up to length cap with r(I) <= k."""
     n = code.n
-    lam = longitude_series(code, q=cap - 1)
+    lam = longitude_series(code, TruncationPolicy.total_degree(n, cap - 1))
     entries = {}
     for length in range(2, cap + 1):
         for I in itertools.product(range(1, n + 1), repeat=length):
@@ -167,10 +177,12 @@ def test_table_and_milnor_match_total_degree_read_out():
                 I = tuple(rng.randint(1, n) for _ in range(rng.randint(1, DIRECT_DEGREE[n] + 1)))
                 want = 0
                 if len(I) > 1:
-                    want = longitude_series(code, q=len(I) - 1)[I[-1] - 1].coefficient(I[:-1])
+                    pol = TruncationPolicy.total_degree(n, len(I) - 1)
+                    want = longitude_series(code, pol)[I[-1] - 1].coefficient(I[:-1])
                 assert milnor(code, I) == want, (n, I)
             I = (1,) * (k + 1) + (2,)  # r(I) = k + 1: outside every table
-            assert milnor(code, I) == longitude_series(code, q=k + 1)[1].coefficient(I[:-1])
+            lam2 = longitude_series(code, TruncationPolicy.total_degree(n, k + 1))[1]
+            assert milnor(code, I) == lam2.coefficient(I[:-1])
 
 
 def test_k_equal_modes_on_named_pairs():
@@ -268,9 +280,9 @@ def test_longitude_route_runs_the_table_pass_only(monkeypatch):
     milnor_table policy and reads its witness off those longitudes."""
     policies = []
 
-    def recording(code, q=None, policy=None):
+    def recording(code, policy):
         policies.append(policy)
-        return longitude_series(code, q, policy)
+        return longitude_series(code, policy=policy)
 
     monkeypatch.setattr(invariants, "longitude_series", recording)
     code = comm223()
@@ -288,6 +300,97 @@ def test_k_equal_witness():
     code = comm223()
     w = compare(code, TRIVIAL3, 2)[1][0]
     assert w is not None and milnor(code, w) != 0
+
+
+def test_action_needs_one_uniform_caps_conjugator_per_variable():
+    pol = TruncationPolicy.uniform_caps(2, 2)
+    one = series_one(pol)
+    bad = {
+        "none": (),
+        "too few": (one,),
+        "too many": (one,) * 3,
+        "mixed policies": (one, series_one(TruncationPolicy.uniform_caps(2, 1))),
+        "no caps": (series_one(TruncationPolicy.total_degree(2, 4)),) * 2,
+        "caps not uniform": (series_one(TruncationPolicy.component_caps(2, 2, 1)),) * 2,
+        "degree below the caps": (series_one(TruncationPolicy.with_caps(2, (3, 3), 3)),) * 2,
+        "k = 0": (series_one(TruncationPolicy.uniform_caps(2, 0)),) * 2,
+    }
+    for name, conj in bad.items():
+        with pytest.raises(InvariantError, match="one conjugator per variable"):
+            KReducedAction(conj)
+            pytest.fail(name)
+    phi = KReducedAction((one, one))
+    assert [f.name for f in dataclasses.fields(KReducedAction)] == ["conjugators"]
+    assert (phi.policy, phi.rank, phi.k) == (pol, 2, 2)
+    assert phi == identity_action(2, 2) != identity_action(2, 1)
+    with pytest.raises(InvariantError, match="k >= 1"):
+        identity_action(2, 0)
+
+
+def self_tree(rng, n, i, leaves):
+    """A random commutator tree with the given number of leaves, each
+    labeled i: every nonconstant term of its word holds X_i at least that
+    many times."""
+    if leaves == 1:
+        conj = generator(n, rng.randint(1, n)) if rng.random() < 0.5 else None
+        return leaf(i, twist=rng.choice((1, -1)), conjugator=conj)
+    left = rng.randint(1, leaves - 1)
+    twist = rng.choice((1, -1))
+    return node(self_tree(rng, n, i, left), self_tree(rng, n, i, leaves - left), twist)
+
+
+def perturbed(phi, rng):
+    """phi's conjugators plus random terms on monomials that hold X_i k
+    times, the monomials residue i drops."""
+    n, k = phi.rank, phi.k
+    conj = []
+    for i, c in enumerate(phi.conjugators, start=1):
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            others = [j for j in range(1, n + 1) if j != i for _ in range(rng.randint(0, k))]
+            mono = [i] * k + others
+            rng.shuffle(mono)
+            terms[tuple(mono)] = rng.choice((-2, -1, 1, 3))
+        conj.append(c + series_from_terms(phi.policy, terms))
+    return KReducedAction(tuple(conj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))),
+    st.sampled_from(("realized", "moved", "tree")),
+)
+def test_equal_residues_give_equal_images(seed, nk, style):
+    """The lemma behind action_invert's certificate: actions with equal
+    residues have equal images.  The pairs are the actions of a realized
+    code and of the same words with an iterated commutator [a_i, ...,
+    [a_i, a_j]] appended to word i (equal or not at level k), of a code and
+    the code after welded moves, and of a code and the code with a self-tree
+    of k or k + 1 leaves inserted, and each with conjugators perturbed on
+    monomials that hold X_i k times."""
+    rng = random.Random(seed)
+    n, k = nk
+    if style == "realized":
+        L, M = refinement_pair(rng, n, k)
+    elif style == "moved":
+        L = random_realized(rng, n, 4)
+        M = moved_or_kinked(rng, L, "moved")
+    else:
+        base = sorted_presentation(
+            [word_from_letters(n, oracle.random_reduced_letters(rng, n, 3)) for _ in range(n)]
+        )
+        i = rng.randint(1, n)
+        t = self_tree(rng, n, i, k + rng.randint(0, 1))
+        L, M = surgery(base), surgery(insert_self_tree(base, i, t))
+    phi, psi = action(L, k), action(M, k)
+    if style != "realized":
+        assert phi == psi
+    bumped = perturbed(phi, rng)
+    assert phi == bumped and phi.conjugators != bumped.conjugators
+    for a, b in ((phi, psi), (phi, bumped), (psi, bumped)):
+        if a == b:
+            assert a.images == b.images
 
 
 def test_identity_action_and_action_of_trivial():
@@ -385,8 +488,9 @@ def test_action_compose_inverts_each_conjugator_once(monkeypatch):
 
 def test_action_invert_reuses_the_substitution_inverses(monkeypatch):
     """At n=3: three inversions for phi's substitution, whose inverses are
-    also the fixed-point targets, then three for each of the four
-    substitutions of the two certifying compositions and their images."""
+    also the fixed-point targets and which composes phi then psi, and three
+    for psi's, which composes psi then phi.  The certificate compares
+    residues, so no composite's images are formed."""
     rng = random.Random(59)
     phi = action(random_realized(rng, 3, 5), 2)
     calls = []
@@ -399,7 +503,7 @@ def test_action_invert_reuses_the_substitution_inverses(monkeypatch):
     monkeypatch.setattr(magnus, "series_inverse", counting)
     monkeypatch.setattr(invariants, "series_inverse", counting, raising=False)
     action_invert(phi)
-    assert len(calls) == 15
+    assert len(calls) == 6
 
 
 def test_action_invert_forms_each_monomial_image_once(monkeypatch):

@@ -671,6 +671,14 @@ def test_items_order_and_equality():
     assert s != u  # different policies never compare equal
 
 
+def test_mul_letter_rejects_variables_out_of_range():
+    one = series_one(TruncationPolicy.uniform_caps(2, 1))
+    for v in (-1, 0, 3):
+        for left in (False, True):
+            with pytest.raises(MagnusError, match=rf"variable {v} out of range 1\.\.2"):
+                magnus.mul_letter(one, v, left=left)
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=3),
     st.integers(min_value=1, max_value=4),
