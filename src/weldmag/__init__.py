@@ -15,7 +15,6 @@ from .magnus import (
     MagnusError,
     TruncatedSeries,
     TruncationPolicy,
-    coefficient,
     expand,
     format_series,
     in_Jr,
@@ -23,7 +22,6 @@ from .magnus import (
     series_inverse,
     series_mul,
     series_one,
-    series_pow,
 )
 from .hall import BasicCommutator, HallError, generate_basic, hall_factorize, principal_part
 from .gauss import (

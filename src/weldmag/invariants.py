@@ -49,11 +49,10 @@ from .magnus import (
     Substitution,
     TruncatedSeries,
     TruncationPolicy,
-    coefficient,
+    expand,
     retruncate,
     series_mul,
     series_one,
-    series_pow,
 )
 from .words import Word
 
@@ -118,9 +117,8 @@ def milnor(L: StringLinkCode, I: Sequence[int]) -> int:
         return 0
     head = I[:-1]
     caps = [head.count(j) + 1 for j in range(1, L.n + 1)]
-    pol = TruncationPolicy.with_caps(L.n, caps, len(head))
-    lam = longitude_series(L, policy=pol)
-    return coefficient(lam[I[-1] - 1], head)
+    lam = longitude_series(L, policy=TruncationPolicy.with_caps(L.n, caps))
+    return lam[I[-1] - 1].coefficient(head)
 
 
 @dataclass
@@ -290,7 +288,7 @@ class KReducedAction:
     def __post_init__(self) -> None:
         pols = {c.policy for c in self.conjugators}
         pol = next(iter(pols)) if len(pols) == 1 else None
-        k = pol.caps[0] - 1 if pol is not None and pol.caps is not None else 0
+        k = pol.caps[0] - 1 if pol is not None else 0
         if k < 1 or pol != TruncationPolicy.uniform_caps(len(self.conjugators), k):
             raise InvariantError(
                 "an action needs one conjugator per variable under one uniform_caps(n, k) "
@@ -339,13 +337,12 @@ def action(L: StringLinkCode, k: int) -> KReducedAction:
 
 
 def action_apply(phi: KReducedAction, w: Word) -> TruncatedSeries:
-    """Series of phi(w); multiplicative in w."""
+    """Series of phi(w): the conjugating substitution applied to the
+    expansion of w, which is exact because the substitution is a unital
+    ring endomorphism and expand is multiplicative."""
     if w.rank != phi.rank:
         raise InvariantError(f"word rank {w.rank} does not match action rank {phi.rank}")
-    out = series_one(phi.policy)
-    for gen, exp in w.runs:
-        out = series_mul(out, series_pow(phi.images[gen - 1], exp))
-    return out
+    return Substitution(phi.conjugators)(expand(w, phi.policy))
 
 
 def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:

@@ -1,12 +1,12 @@
 """Exact truncated noncommutative power series and the Magnus expansion.
 
 The ring is Z<<X_1,...,X_n>> modulo a monomial ideal described by a
-:class:`TruncationPolicy`: a total-degree cap q and optional per-variable
-occurrence caps r = (r_1,...,r_n), where a monomial is dropped as soon as
-some X_j occurs at least r_j times.  The surviving monomials form a finite,
-prefix- and suffix-closed set, so the quotient is computed exactly: there is
-no approximation anywhere in this module, only discarding of monomials that
-the chosen ideal kills.
+:class:`TruncationPolicy`: a total-degree cap q and per-variable occurrence
+caps r = (r_1,...,r_n), where a monomial is dropped as soon as its degree
+exceeds q or some X_j occurs at least r_j times.  The surviving monomials
+form a finite, prefix- and suffix-closed set, so the quotient is computed
+exactly: there is no approximation anywhere in this module, only discarding
+of monomials that the chosen ideal kills.
 
 The policies that matter downstream:
 
@@ -18,7 +18,8 @@ The policies that matter downstream:
   to compare longitudes component by component,
 * caps of one more than each multiplicity in a monomial: the smallest
   quotient holding that one coefficient,
-* plain total degree q: used for degree bookkeeping.
+* caps q+1 with total degree q: the plain degree cut, used for degree
+  bookkeeping and the Hall basis.
 
 Coefficients are exact integers of unbounded magnitude, kept in a numpy
 vector indexed by the policy's monomial list.  One rule decides every sum:
@@ -77,13 +78,10 @@ __all__ = [
     "TruncatedSeries",
     "series_one",
     "series_from_terms",
-    "one_plus_x",
     "series_mul",
     "series_inverse",
-    "series_pow",
     "mul_letter",
     "expand",
-    "coefficient",
     "lcs_lower_bound",
     "in_Jr",
     "retruncate",
@@ -147,40 +145,44 @@ class MagnusError(ValueError):
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Monomial ideal: keep monomials of total degree <= max_total_degree
-    whose variable X_j occurs strictly fewer than caps[j-1] times (when caps
-    is given)."""
+    whose variable X_j occurs strictly fewer than caps[j-1] times.
+
+    One ideal has one policy.  Construction lowers each cap to
+    max_total_degree + 1, then max_total_degree to sum(caps) - rank, the
+    largest degree a surviving monomial can have; one pass suffices, since
+    each cap - 1 is at most sum(caps) - rank.  So every degree 0..q holds a
+    monomial, and two descriptions of one ideal compare equal."""
 
     rank: int
     max_total_degree: int
-    caps: tuple[int, ...] | None = None
+    caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise MagnusError(f"rank must be positive, got {self.rank}")
         if self.max_total_degree < 0:
             raise MagnusError("total degree cap must be nonnegative")
-        if self.caps is not None:
-            if len(self.caps) != self.rank:
-                raise MagnusError("caps length must equal rank")
-            if any(c < 1 for c in self.caps):
-                raise MagnusError("caps must be positive")
+        caps = tuple(int(c) for c in self.caps)
+        if len(caps) != self.rank or any(c < 1 for c in caps):
+            raise MagnusError(f"bad caps {caps!r} for rank {self.rank}")
+        caps = tuple(min(c, self.max_total_degree + 1) for c in caps)
+        object.__setattr__(self, "caps", caps)
+        object.__setattr__(self, "max_total_degree", min(self.max_total_degree, sum(caps) - self.rank))
 
     @classmethod
     def total_degree(cls, rank: int, q: int) -> "TruncationPolicy":
+        """Total degree q alone: caps q + 1, which drop nothing of degree <= q."""
         if q < 1:
             raise MagnusError(f"degree cutoff must be at least 1, got {q}")
-        return cls(rank, q)
+        return cls(rank, q, (q + 1,) * rank)
 
     @classmethod
     def with_caps(cls, rank: int, caps: Sequence[int], q: int | None = None) -> "TruncationPolicy":
         """Per-variable caps; q defaults to sum(caps) - rank, the largest
-        degree any surviving monomial can have."""
-        caps = tuple(int(c) for c in caps)
-        if len(caps) != rank or any(c < 1 for c in caps):
-            raise MagnusError(f"bad caps {caps!r} for rank {rank}")
-        if q is None:
-            q = sum(caps) - rank
-        return cls(rank, q, caps)
+        degree any surviving monomial can have.  Normalized as the class
+        says: with_caps(2, (4, 4), 3) is total_degree(2, 3)."""
+        caps = tuple(caps)
+        return cls(rank, sum(caps) - rank if q is None else q, caps)
 
     @classmethod
     def uniform_caps(cls, rank: int, k: int) -> "TruncationPolicy":
@@ -196,17 +198,6 @@ class TruncationPolicy:
         caps[i - 1] = k
         return cls.with_caps(rank, caps)
 
-    def admits(self, mono: tuple[int, ...]) -> bool:
-        if len(mono) > self.max_total_degree:
-            return False
-        if any(not 1 <= v <= self.rank for v in mono):
-            return False
-        if self.caps is not None:
-            for v in set(mono):
-                if mono.count(v) >= self.caps[v - 1]:
-                    return False
-        return True
-
 
 class _PolicySpace:
     """Precomputed combinatorics of one policy's surviving monomials.
@@ -220,14 +211,13 @@ class _PolicySpace:
     A longer monomial has the larger code, and codes of one length compare
     lexicographically, so codes increase with i and a searchsorted on codes
     maps a code back to its index.  The code of m1.m2 is
-    code(m1) * (n+1)^|m2| + code(m2).  Under caps, counts[i] packs the
-    letter counts into one int64, X_v's count in bits [w(v-1), wv), with
-    w - 1 bits for the count and one guard bit; a pair of monomials breaks a
-    cap exactly when counts[a] + counts[b] + cap_offset sets a guard bit.
-    Codes are int64 while (n+1)^q stays below 2^62 and Python ints beyond,
-    and so are powers[s] = (n+1)^s; products form support pairs only when
-    the codes, and under caps the packed counts, fit in int64 (see
-    _convolve).
+    code(m1) * (n+1)^|m2| + code(m2).  counts[i] packs the letter counts
+    into one int64, X_v's count in bits [w(v-1), wv), with w - 1 bits for
+    the count and one guard bit; a pair of monomials breaks a cap exactly
+    when counts[a] + counts[b] + cap_offset sets a guard bit.  Codes are
+    int64 while (n+1)^q stays below 2^62 and Python ints beyond, and so are
+    powers[s] = (n+1)^s; products form support pairs only when the codes
+    and the packed counts fit in int64 (see _convolve).
 
     A letter map of X_v is (src, dst, slices): it sends src to dst, and
     slices holds its nonempty degree slices as (dst, src) views.  The
@@ -237,17 +227,18 @@ class _PolicySpace:
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
-        n, q, caps = policy.rank, policy.max_total_degree, policy.caps
+        n, q = policy.rank, policy.max_total_degree
         base = n + 1
         self.policy = policy
         self.max_degree = q
         codes_fit = base**q < 2**62
         code_type = np.int64 if codes_fit else object
-        cap = None if caps is None else np.array(caps, dtype=np.int64)
+        cap = np.array(policy.caps, dtype=np.int64)
         letters = np.arange(1, n + 1, dtype=np.int64)
 
         # layer d+1 appends every admissible letter to each monomial of
-        # layer d in order, so each layer comes out lexicographically sorted
+        # layer d in order, so each layer comes out lexicographically sorted;
+        # q <= sum(caps) - n, so no layer is empty
         parents = [np.full(1, -1, dtype=np.int64)]
         lasts = [np.zeros(1, dtype=np.int64)]
         codes = [np.zeros(1, dtype=code_type)]
@@ -257,20 +248,15 @@ class _PolicySpace:
         for _ in range(q):
             p = np.repeat(np.arange(len(lasts[-1]), dtype=np.int64), n)
             v = np.tile(letters, len(lasts[-1]))
-            if cap is not None:
-                keep = count[p, v - 1] + 1 < cap[v - 1]
-                p, v = p[keep], v[keep]
-                count = count[p]
-                count[np.arange(len(p)), v - 1] += 1
-                counts.append(count)
+            keep = count[p, v - 1] + 1 < cap[v - 1]
+            p, v = p[keep], v[keep]
+            count = count[p]
+            count[np.arange(len(p)), v - 1] += 1
+            counts.append(count)
             parents.append(p + deg_start[-2])
             lasts.append(v)
             codes.append(codes[-1][p] * base + v.astype(code_type))
             deg_start.append(deg_start[-1] + len(p))
-            if not len(p):
-                break
-        while len(deg_start) < q + 2:
-            deg_start.append(deg_start[-1])
 
         self.parent = np.concatenate(parents)
         self.last = np.concatenate(lasts)
@@ -282,15 +268,14 @@ class _PolicySpace:
         self._triple_start = np.cumsum([0, *(np.arange(1, q + 2) * np.diff(deg_start))]).tolist()
         self.triples = self._triple_start[-1]
         self.counts = None
-        if cap is not None:
-            guard = int(cap.max()).bit_length()
-            width = guard + 1
-            if n * width <= 62:
-                shift = width * np.arange(n, dtype=np.int64)
-                self.counts = (np.concatenate(counts) << shift).sum(axis=1)
-                self.cap_offset = int((((1 << guard) - cap) << shift).sum())
-                self.cap_guard = int(((1 << guard) << shift).sum())
-        self.pairs_fit = codes_fit and (caps is None or self.counts is not None)
+        guard = int(cap.max()).bit_length()
+        width = guard + 1
+        if n * width <= 62:
+            shift = width * np.arange(n, dtype=np.int64)
+            self.counts = (np.concatenate(counts) << shift).sum(axis=1)
+            self.cap_offset = int((((1 << guard) - cap) << shift).sum())
+            self.cap_guard = int(((1 << guard) << shift).sum())
+        self.pairs_fit = codes_fit and self.counts is not None
         self.powers = base ** np.arange(q + 1, dtype=code_type)
 
         self.append = [None] + [
@@ -431,6 +416,9 @@ class TruncatedSeries:
     def degree_block(self, d: int) -> np.ndarray:
         """The degree-d coefficients in (degree, lex) order, a read-only
         int64 or object-dtype view."""
+        q = self.policy.max_total_degree
+        if not 0 <= d <= q:
+            raise MagnusError(f"degree {d} out of range 0..{q}")
         space = _space(self.policy)
         block = self._vec[space.deg_start[d] : space.deg_start[d + 1]]
         block.flags.writeable = False
@@ -443,6 +431,8 @@ class TruncatedSeries:
         """True if the two series have equal coefficients in all degrees <= d."""
         if self.policy != other.policy:
             raise MagnusError("policy mismatch")
+        if d < 0:
+            raise MagnusError(f"degree {d} out of range 0..{self.policy.max_total_degree}")
         hi = _space(self.policy).deg_start[min(d, self.policy.max_total_degree) + 1]
         return bool(np.equal(self._vec[:hi], other._vec[:hi]).all())
 
@@ -502,11 +492,6 @@ def series_from_terms(policy: TruncationPolicy, terms: Mapping[tuple[int, ...], 
     return TruncatedSeries(policy, vec)
 
 
-def one_plus_x(policy: TruncationPolicy, v: int) -> TruncatedSeries:
-    """The Magnus image 1 + X_v of the generator a_v."""
-    return series_from_terms(policy, {(): 1, (v,): 1})
-
-
 def _check_policies(s: TruncatedSeries, t: TruncatedSeries) -> None:
     if s.policy != t.policy:
         raise MagnusError("policy mismatch between series operands")
@@ -556,9 +541,8 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, degree: 
         return None
     owner, at = _segments(lo, hi)
     a, b = ia[owner], ib[at]
-    if space.counts is not None:
-        fit = ((space.counts[a] + space.counts[b] + space.cap_offset) & space.cap_guard) == 0
-        a, b = a[fit], b[fit]
+    fit = ((space.counts[a] + space.counts[b] + space.cap_offset) & space.cap_guard) == 0
+    a, b = a[fit], b[fit]
     codes = space.codes
     c = np.searchsorted(codes, codes[a] * space.powers[deg[b]] + codes[b])
     return a, b, c, ia, ib
@@ -613,21 +597,6 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
             y = y.astype(object, copy=False)
         y[lo:hi] = -layer
     return TruncatedSeries(s.policy, y)
-
-
-def series_pow(s: TruncatedSeries, e: int) -> TruncatedSeries:
-    """s**e for any integer e (negative exponents invert first)."""
-    if e < 0:
-        return series_pow(series_inverse(s), -e)
-    out = None  # stands for the unit until the first factor
-    base = s
-    while e:
-        if e & 1:
-            out = base if out is None else series_mul(out, base)
-        e >>= 1
-        if e:
-            base = series_mul(base, base)
-    return series_one(s.policy) if out is None else out
 
 
 # -- expansion of words -------------------------------------------------------
@@ -706,11 +675,6 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     for g, mult in w.runs:
         vec = _mul_run(space, space.append[g], vec, mult)
     return TruncatedSeries(policy, vec)
-
-
-def coefficient(s: TruncatedSeries, mono: Sequence[int]) -> int:
-    """Stored coefficient of the monomial (0 when absent)."""
-    return s.coefficient(tuple(mono))
 
 
 def lcs_lower_bound(w: Word, q: int) -> int | None:

@@ -36,12 +36,15 @@ from weldmag.invariants import (
 from weldmag.magnus import (
     TruncationPolicy,
     expand,
-    one_plus_x,
+    mul_letter,
     series_from_terms,
+    series_inverse,
     series_mul,
     series_one,
 )
-from weldmag.words import commutator, empty, generator, invert, multiply, parse_word, word_from_letters
+from weldmag.words import (
+    commutator, empty, generator, invert, multiply, parse_word, power, word_from_letters,
+)
 
 SINGLE = parse("1: U1+ / 2: O1+")
 TRIVIAL2 = parse("1: / 2:")
@@ -399,14 +402,14 @@ def test_identity_action_and_action_of_trivial():
     for c in ident.conjugators:
         assert c.is_one
     pol = ident.policy
-    assert ident.images == tuple(one_plus_x(pol, i) for i in (1, 2))
+    assert ident.images == tuple(mul_letter(series_one(pol), i) for i in (1, 2))
 
 
 def test_action_of_single_crossing():
     phi = action(SINGLE, 2)
     pol = phi.policy
     assert phi.images[0] == expand(parse_word("A2 a1 a2", 2), pol)
-    assert phi.images[1] == one_plus_x(pol, 2)
+    assert phi.images[1] == mul_letter(series_one(pol), 2)
     assert phi != identity_action(2, 2)
     with pytest.raises(InvariantError):
         action(SINGLE, 0)
@@ -423,6 +426,28 @@ def test_action_apply():
     assert action_apply(ident, w) == expand(w, ident.policy)
     with pytest.raises(InvariantError, match="rank"):
         action_apply(phi, generator(3, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))),
+    st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=6),
+)
+def test_action_apply_is_the_product_of_image_powers(seed, nk, runs):
+    """action_apply substitutes into the expansion of w; the reference
+    multiplies phi's images run by run, the inverse of an image standing in
+    for each letter of a negative run."""
+    rng = random.Random(seed)
+    n, k = nk
+    phi = action(moved_or_kinked(rng, random_realized(rng, n, 4), "moved"), k)
+    w = multiply(empty(n), *(power(generator(n, (g - 1) % n + 1), e) for g, e in runs))
+    want = series_one(phi.policy)
+    for g, e in w.runs:
+        image = phi.images[g - 1] if e > 0 else series_inverse(phi.images[g - 1])
+        for _ in range(abs(e)):
+            want = series_mul(want, image)
+    assert action_apply(phi, w) == want
 
 
 def test_action_compose_identity_and_homomorphism():

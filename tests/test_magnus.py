@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,19 +15,17 @@ from weldmag.magnus import (
     TruncatedSeries,
     TruncationPolicy,
     _PolicySpace,
-    coefficient,
     expand,
     format_monomial,
     format_series,
     in_Jr,
     lcs_lower_bound,
-    one_plus_x,
+    mul_letter,
     retruncate,
     series_from_terms,
     series_inverse,
     series_mul,
     series_one,
-    series_pow,
 )
 from weldmag.words import (
     Word,
@@ -44,10 +43,6 @@ from weldmag.words import (
 
 def as_dict(s):
     return {m: c for m, c in s.items()}
-
-
-def policy_caps(policy):
-    return None if policy.caps is None else policy.caps
 
 
 def rand_series(rng, policy, terms=6, span=9):
@@ -72,7 +67,7 @@ def expand_all_monos(policy):
 
 def test_policy_constructors():
     p = TruncationPolicy.total_degree(3, 4)
-    assert p.rank == 3 and p.max_total_degree == 4 and p.caps is None
+    assert p.rank == 3 and p.max_total_degree == 4 and p.caps == (5, 5, 5)
     u = TruncationPolicy.uniform_caps(3, 2)
     assert u.caps == (3, 3, 3) and u.max_total_degree == 6
     c = TruncationPolicy.component_caps(3, 2, 2)
@@ -85,13 +80,43 @@ def test_policy_constructors():
         TruncationPolicy.with_caps(2, (0, 2))
 
 
-def test_admits():
-    p = TruncationPolicy.uniform_caps(2, 2)
-    assert p.admits((1, 2, 1))
-    assert not p.admits((1, 1, 2, 1))  # X1 three times, cap is 2 occurrences
-    assert not p.admits((1, 2, 3))
-    t = TruncationPolicy.total_degree(2, 2)
-    assert t.admits((1, 1)) and not t.admits((1, 1, 2))
+# descriptions (rank, q, caps) with a cap above q + 1 or a degree above
+# sum(caps) - rank, each with the policy of its ideal
+REDUNDANT_DESCRIPTIONS = [
+    ((2, 5, (2, 2)), TruncationPolicy.with_caps(2, (2, 2))),
+    ((2, 3, (4, 4)), TruncationPolicy.total_degree(2, 3)),
+    ((3, 3, (9, 1, 2)), TruncationPolicy.with_caps(3, (4, 1, 2), 3)),
+    ((2, 0, (3, 1)), TruncationPolicy.with_caps(2, (1, 1))),
+]
+
+
+@pytest.mark.parametrize("description, policy", REDUNDANT_DESCRIPTIONS)
+def test_one_ideal_has_one_policy(description, policy):
+    """A cap above q + 1 or a degree above sum(caps) - rank drops nothing,
+    so two descriptions of one ideal construct one policy, with one
+    monomial space, and the policy is its own description."""
+    rank, q, caps = description
+    p = TruncationPolicy.with_caps(rank, caps, q)
+    assert p == policy and hash(p) == hash(policy)
+    assert series_one(p) == series_one(policy)
+    assert magnus._space(p) is magnus._space(policy)
+    assert TruncationPolicy(p.rank, p.max_total_degree, p.caps) == p
+    monos = [m for d in range(q + 1) for m in itertools.product(range(1, rank + 1), repeat=d)
+             if oracle.survives(m, q, caps)]
+    assert magnus._space(p).monos_at(range(magnus._space(p).size)) == monos
+
+
+def test_degree_arguments_are_range_checked():
+    s = series_one(TruncationPolicy.total_degree(2, 3))
+    for d in (-1, 4):
+        with pytest.raises(MagnusError, match=rf"degree {d} out of range 0\.\.3"):
+            s.degree_block(d)
+        with pytest.raises(MagnusError, match=rf"degree {d} out of range"):
+            s.degree_block_nonzero(d)
+    with pytest.raises(MagnusError, match=r"degree -2 out of range 0\.\.3"):
+        s.agrees_through_degree(series_one(s.policy), -2)
+    assert s.degree_block(0).tolist() == [1] and s.degree_block(3).shape == (8,)
+    assert s.agrees_through_degree(s, 0) and s.agrees_through_degree(s, 7)
 
 
 def test_expand_commutator_lowest_terms():
@@ -136,7 +161,7 @@ def test_series_mul_matches_naive():
         a, da = rand_series(rng, pol)
         b, db = rand_series(rng, pol)
         got = as_dict(series_mul(a, b))
-        want = oracle.mul(da, db, pol.max_total_degree, policy_caps(pol))
+        want = oracle.mul(da, db, pol.max_total_degree, pol.caps)
         assert got == want
 
 
@@ -291,9 +316,6 @@ def test_series_inverse_and_pow():
         s, _ = rand_series(rng, pol)
         assert series_mul(s, series_inverse(s)).is_one
         assert series_mul(series_inverse(s), s).is_one
-        assert series_pow(s, 3) == series_mul(series_mul(s, s), s)
-        assert series_pow(s, -2) == series_inverse(series_mul(s, s))
-        assert series_pow(s, 0).is_one
     minus = series_from_terms(pol, {(): -1, (1,): 2})
     assert series_mul(minus, series_inverse(minus)).is_one
     with pytest.raises(MagnusError):
@@ -354,12 +376,12 @@ def test_in_Jr():
 def test_coefficient():
     pol = TruncationPolicy.total_degree(2, 3)
     s = expand(commutator(generator(2, 1), generator(2, 2)), pol)
-    assert coefficient(s, (2, 1)) == 1
-    assert coefficient(s, (1, 2)) == -1
-    assert coefficient(s, ()) == 1
-    assert coefficient(s, (1,)) == 0
+    assert s.coefficient((2, 1)) == 1
+    assert s.coefficient((1, 2)) == -1
+    assert s.coefficient(()) == 1
+    assert s.coefficient((1,)) == 0
     with pytest.raises(MagnusError):
-        coefficient(s, (1, 1, 1, 1))  # outside the policy
+        s.coefficient((1, 1, 1, 1))  # outside the policy
 
 
 def test_retruncate():
@@ -564,6 +586,7 @@ SPACE_POLICIES = [
     TruncationPolicy.component_caps(4, 1, 1),
     TruncationPolicy.with_caps(3, (2, 4, 3), 4),
     *OVERFLOW_POLICIES,
+    *(TruncationPolicy.with_caps(rank, caps, q) for (rank, q, caps), _ in REDUNDANT_DESCRIPTIONS),
 ]
 
 
@@ -571,11 +594,13 @@ SPACE_POLICIES = [
 def test_policy_space_lists_admitted_monomials_in_order(policy):
     admitted, layer = [()], [()]
     while layer:
-        layer = [m + (v,) for m in layer for v in range(1, policy.rank + 1) if policy.admits(m + (v,))]
+        layer = [m + (v,) for m in layer for v in range(1, policy.rank + 1)
+                 if oracle.survives(m + (v,), policy.max_total_degree, policy.caps)]
         admitted += layer
     space = _PolicySpace(policy)
     monos = space.monos_at(range(space.size))
     assert monos == sorted(admitted, key=lambda m: (len(m), m))
+    assert {len(m) for m in monos} == set(range(policy.max_total_degree + 1))
     assert [space.find(m) for m in monos] == list(range(space.size))
     assert all(x < y for x, y in zip(space.codes.tolist(), space.codes[1:].tolist()))
 
@@ -611,23 +636,23 @@ def test_big_coefficients_promote_beyond_int64():
     m = 2 ** 40
     s = expand(Wpow(m), pol)
     for d in range(5):
-        assert coefficient(s, (1,) * d) == math.comb(m, d)
+        assert s.coefficient((1,) * d) == math.comb(m, d)
     t = series_mul(s, s)
     for d in range(5):
-        assert coefficient(t, (1,) * d) == math.comb(2 * m, d)
+        assert t.coefficient((1,) * d) == math.comb(2 * m, d)
     inv = series_inverse(s)
     assert series_mul(inv, s).is_one
     neg = expand(Wpow(-m), pol)
     assert series_mul(neg, s).is_one
     for d in range(5):
-        assert coefficient(s + s, (1,) * d) == 2 * math.comb(m, d)
-        assert coefficient(s - neg, (1,) * d) == math.comb(m, d) - coefficient(neg, (1,) * d)
-        assert coefficient(-s, (1,) * d) == -math.comb(m, d)
+        assert (s + s).coefficient((1,) * d) == 2 * math.comb(m, d)
+        assert (s - neg).coefficient((1,) * d) == math.comb(m, d) - neg.coefficient((1,) * d)
+        assert (-s).coefficient((1,) * d) == -math.comb(m, d)
     assert (s - s).is_zero
     c = 2 ** 62 - 1  # an int64 coefficient whose triple is not
     small = series_from_terms(pol, {(): c})
-    assert coefficient(small + small + small, ()) == 3 * c
-    assert coefficient(small - -small - -small, ()) == 3 * c
+    assert (small + small + small).coefficient(()) == 3 * c
+    assert (small - -small - -small).coefficient(()) == 3 * c
 
 
 def Wpow(m):

@@ -1,5 +1,5 @@
 """Every `$ weldmag ...` example in README.md runs, and prints exactly the
-output lines the README shows under it."""
+output lines the README shows under it; every fenced python block runs."""
 
 import pathlib
 import shlex
@@ -30,6 +30,20 @@ def examples():
 EXAMPLES = examples()
 
 
+def python_blocks():
+    """The source of each fenced python block, in README order."""
+    found, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if current is None and line.startswith("```python"):
+            current = []
+            found.append(current)
+        elif current is not None and line.startswith("```"):
+            current = None
+        elif current is not None:
+            current.append(line)
+    return ["\n".join(lines) + "\n" for lines in found]
+
+
 def test_readme_examples_are_found():
     commands = {shlex.split(line)[0] for line, _ in EXAMPLES}
     assert commands == {"milnor", "table", "compare", "action", "realize", "hall", "moves",
@@ -43,3 +57,11 @@ def test_readme_example(capsys, line, shown):
     assert rc in (0, 1)
     if shown:
         assert out == "".join(f"{text}\n" for text in shown)
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = python_blocks()
+    assert blocks
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {})
+    assert "mu(2,1) = 1" in capsys.readouterr().out.splitlines()
