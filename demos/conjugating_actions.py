@@ -9,15 +9,8 @@ as the invariant table, packaged as a group element.
 """
 
 from weldmag.gauss import parse, stack
-from weldmag.invariants import (
-    action,
-    action_apply,
-    action_compose,
-    action_invert,
-    identity_action,
-)
+from weldmag.invariants import action, action_compose, action_invert, identity_action
 from weldmag.magnus import format_series
-from weldmag.words import parse_word
 
 L = parse("1: U1+ / 2: O1+")
 M = parse("1: U1- / 2: O1-")
@@ -40,8 +33,3 @@ print("composite is the identity:", lhs == identity_action(2, 2))
 psi = action_invert(phi)
 back = action_compose(phi, psi)
 print("invert then compose is the identity:", back == identity_action(2, 2))
-
-# actions apply to arbitrary words, not just generators
-w = parse_word("a1 a2", 2)
-print("phi applied to a1 a2:")
-print(format_series(action_apply(phi, w)))

@@ -7,8 +7,8 @@ commutators. This walks the basis for two generators and factors a word
 as an ordered product of basic commutator powers.
 """
 
-from weldmag.hall import generate_basic, hall_factorize, principal_part
-from weldmag.magnus import TruncationPolicy, lcs_lower_bound
+from weldmag.hall import generate_basic, hall_factorize
+from weldmag.magnus import TruncationPolicy, expand, series_one
 from weldmag.words import empty, invert, multiply, parse_word, power
 
 # the ordered basis through length 4 on two generators
@@ -24,10 +24,11 @@ per_len = Counter(c.length for c in basis)
 print("layer sizes:", [per_len[d] for d in range(1, 5)])
 
 # the principal part of a basic commutator is its lowest-degree slice,
-# and those slices are linearly independent degree by degree
+# and those slices are linearly independent degree by degree; at the
+# commutator's own degree it is the whole expansion minus 1
 pol = TruncationPolicy.total_degree(2, 2)
 c = basis[2]  # the bracket [a1,a2]
-print("principal part of", c.word, "=", principal_part(c, pol))
+print("principal part of", c.word, "=", expand(c.word, pol) - series_one(pol))
 
 # factor a word: exponents line up with the basis order
 w = parse_word("a2 a1 a2 A1 A2 A2", 2)
@@ -44,7 +45,7 @@ for c, e in zip(generate_basic(2, 3), exps):
     if e:
         prod = multiply(prod, power(c.word, e))
 rem = multiply(invert(prod), w)
-print("remainder lower bound says deep:", lcs_lower_bound(rem, 3) is None)
+print("remainder lower bound says deep:", expand(rem, TruncationPolicy.total_degree(2, 3)).is_one)
 
 # a longer word: its exponents run into the hundreds, yet the factorization
 # costs about the same, since it divides factors off the word's truncated

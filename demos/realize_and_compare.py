@@ -10,7 +10,7 @@ independent routes that must agree.
 
 from weldmag.arrows import realize_sorted
 from weldmag.gauss import parse, serialize
-from weldmag.invariants import compare, k_equal, milnor, milnor_table
+from weldmag.invariants import compare, milnor, milnor_table
 from weldmag.words import commutator, empty, generator
 
 n = 3
@@ -27,7 +27,7 @@ trivial = parse("1: / 2: / 3:")
 # with one repeat allowed the two links are indistinguishable
 for k in (1, 2):
     verdicts = [
-        k_equal(L, trivial, k, mode=m) for m in ("table", "longitude", "action")
+        compare(L, trivial, k, mode=m)[0] for m in ("table", "longitude", "action")
     ]
     print(f"k={k} equal?", verdicts)
 

@@ -9,21 +9,18 @@ presentation realizer (``arrows``) provide independent cross-checks.  The
 ``cli`` module exposes everything as the ``weldmag`` command.
 """
 
-from .words import Word, WordError, commutator, conjugate, exponent_sum
-from .words import format_word, invert, linear_commutator, multiply, parse_word
+from .words import Word, WordError, commutator, conjugate, format_word, invert, multiply, parse_word
 from .magnus import (
     MagnusError,
     TruncatedSeries,
     TruncationPolicy,
     expand,
     format_series,
-    in_Jr,
-    lcs_lower_bound,
     series_inverse,
     series_mul,
     series_one,
 )
-from .hall import BasicCommutator, HallError, generate_basic, hall_factorize, principal_part
+from .hall import BasicCommutator, HallError, generate_basic, hall_factorize
 from .gauss import (
     GaussCodeError,
     LinkCode,
@@ -35,7 +32,6 @@ from .gauss import (
     cut,
     longitude_series,
     parse,
-    self_writhe,
     serialize,
     stack,
     wirtinger,
@@ -57,11 +53,9 @@ from .invariants import (
     InvariantTable,
     KReducedAction,
     action,
-    action_apply,
     action_compose,
     action_invert,
     identity_action,
-    k_equal,
     link_vanishing,
     milnor,
     milnor_table,

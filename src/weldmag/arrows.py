@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gauss import Passage, StringLinkCode, numbered_lines
-from .words import Word, commutator, conjugate, format_word, invert, parse_word
+from .words import Word, commutator, conjugate, invert, parse_word
 
 __all__ = [
     "ArrowError",
@@ -44,7 +44,6 @@ __all__ = [
     "realize_sorted",
     "insert_self_tree",
     "parse_realizer",
-    "serialize_realizer",
 ]
 
 
@@ -226,9 +225,3 @@ def parse_realizer(text: str) -> tuple[Word, ...]:
     n = len(bodies)
     return tuple(Word(n, ()) if body == "-" else parse_word(body, n) for body in bodies)
 
-
-def serialize_realizer(words: Sequence[Word]) -> str:
-    lines = []
-    for i, w in enumerate(words, start=1):
-        lines.append(f"{i}: {format_word(w) if len(w) else '-'}")
-    return "\n".join(lines)

@@ -57,7 +57,6 @@ __all__ = [
     "parse",
     "serialize",
     "wirtinger",
-    "self_writhe",
     "longitude_series",
     "MOVE_KINDS",
     "applicable_sites",
@@ -237,16 +236,6 @@ def wirtinger(code: StringLinkCode | LinkCode) -> WirtingerPresentation:
         for j, p in enumerate(unders, start=1):
             relations.append(WirtingerRelation(i, j, over_arc[p.cid], p.sign))
     return WirtingerPresentation(tuple(arc_counts), tuple(relations))
-
-
-def self_writhe(code: StringLinkCode | LinkCode, i: int) -> int:
-    """Sum of the signs of the crossings whose two passages both lie on
-    component i: the relations of component i whose over-arc lies on
-    component i too.  Where a closed component is cut does not change which
-    component an over-arc lies on."""
-    if not 1 <= i <= code.n:
-        raise GaussCodeError(f"component {i} out of range 1..{code.n}")
-    return sum(rel.sign for rel in wirtinger(code).relations if rel.component == rel.over[0] == i)
 
 
 # -- preferred longitudes ----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Basic commutators, unique Hall factorization, and principal parts.
+"""Basic commutators and unique Hall factorization.
 
 This module is the structural counterweight to the series engine: it knows
 the free group's lower central series through an ordered family of basic
@@ -49,7 +49,6 @@ from .magnus import (
     expand,
     mul_letter,
     scatter_sum,
-    series_from_terms,
     series_mul,
     series_one,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "HallError",
     "BasicCommutator",
     "generate_basic",
-    "principal_part",
     "hall_factorize",
 ]
 
@@ -132,21 +130,6 @@ def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
             out.append(BasicCommutator(len(out), length, None, c, d, word, entries, text))
         by_len.append(out[len(out) - len(candidates) :])
     return tuple(out)
-
-
-def principal_part(c: BasicCommutator, policy: TruncationPolicy) -> TruncatedSeries:
-    """The homogeneous degree-length(c) part of expand(word of c).
-
-    This is the lowest nonvanishing part of the expansion; every one of its
-    monomials uses each variable exactly entries[v] times.
-    """
-    if policy.max_total_degree < c.length:
-        raise HallError(
-            f"policy degree {policy.max_total_degree} below commutator length {c.length}"
-        )
-    s = expand(c.word, policy)
-    terms = {m: v for m, v in s.items() if len(m) == c.length}
-    return series_from_terms(policy, terms)
 
 
 # the prime 2^31 - 1: rows independent mod it are independent over Q

@@ -49,12 +49,10 @@ from .magnus import (
     Substitution,
     TruncatedSeries,
     TruncationPolicy,
-    expand,
     retruncate,
     series_mul,
     series_one,
 )
-from .words import Word
 
 __all__ = [
     "InvariantError",
@@ -64,11 +62,9 @@ __all__ = [
     "InvariantTable",
     "milnor_table",
     "compare",
-    "k_equal",
     "KReducedAction",
     "identity_action",
     "action",
-    "action_apply",
     "action_compose",
     "action_invert",
     "link_vanishing",
@@ -254,12 +250,6 @@ def _residues(series: Sequence[TruncatedSeries], k: int) -> tuple[TruncatedSerie
     return tuple(retruncate(s, caps(len(series), k, i)) for i, s in enumerate(series, start=1))
 
 
-def k_equal(L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table") -> bool:
-    """Decide the level-k equivalence by one of three routes that must agree:
-    'table', 'longitude', or 'action' (see compare)."""
-    return compare(L, M, k, mode)[0]
-
-
 # -- k-reduced free actions --------------------------------------------------------
 
 
@@ -334,15 +324,6 @@ def action(L: StringLinkCode, k: int) -> KReducedAction:
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
     return KReducedAction(longitude_series(L, policy=TruncationPolicy.uniform_caps(L.n, k)))
-
-
-def action_apply(phi: KReducedAction, w: Word) -> TruncatedSeries:
-    """Series of phi(w): the conjugating substitution applied to the
-    expansion of w, which is exact because the substitution is a unital
-    ring endomorphism and expand is multiplicative."""
-    if w.rank != phi.rank:
-        raise InvariantError(f"word rank {w.rank} does not match action rank {phi.rank}")
-    return Substitution(phi.conjugators)(expand(w, phi.policy))
 
 
 def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:

@@ -64,6 +64,7 @@ any number of series as one gather and one scatter_sum.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -82,8 +83,6 @@ __all__ = [
     "series_inverse",
     "mul_letter",
     "expand",
-    "lcs_lower_bound",
-    "in_Jr",
     "retruncate",
     "Substitution",
     "exact_dtype",
@@ -142,6 +141,14 @@ class MagnusError(ValueError):
     """Raised on policy mismatches, bad monomials, or non-unit inversion."""
 
 
+def _integer(value: object, what: str) -> int:
+    """value as an int, for ints and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise MagnusError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Monomial ideal: keep monomials of total degree <= max_total_degree
@@ -158,16 +165,18 @@ class TruncationPolicy:
     caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise MagnusError(f"rank must be positive, got {self.rank}")
-        if self.max_total_degree < 0:
+        rank, q = _integer(self.rank, "rank"), _integer(self.max_total_degree, "total degree cap")
+        caps = tuple(_integer(c, "cap") for c in self.caps)
+        if rank < 1:
+            raise MagnusError(f"rank must be positive, got {rank}")
+        if q < 0:
             raise MagnusError("total degree cap must be nonnegative")
-        caps = tuple(int(c) for c in self.caps)
-        if len(caps) != self.rank or any(c < 1 for c in caps):
-            raise MagnusError(f"bad caps {caps!r} for rank {self.rank}")
-        caps = tuple(min(c, self.max_total_degree + 1) for c in caps)
+        if len(caps) != rank or any(c < 1 for c in caps):
+            raise MagnusError(f"bad caps {caps!r} for rank {rank}")
+        caps = tuple(min(c, q + 1) for c in caps)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "max_total_degree", min(self.max_total_degree, sum(caps) - self.rank))
+        object.__setattr__(self, "max_total_degree", min(q, sum(caps) - rank))
 
     @classmethod
     def total_degree(cls, rank: int, q: int) -> "TruncationPolicy":
@@ -211,10 +220,13 @@ class _PolicySpace:
     A longer monomial has the larger code, and codes of one length compare
     lexicographically, so codes increase with i and a searchsorted on codes
     maps a code back to its index.  The code of m1.m2 is
-    code(m1) * (n+1)^|m2| + code(m2).  counts[i] packs the letter counts
-    into one int64, X_v's count in bits [w(v-1), wv), with w - 1 bits for
-    the count and one guard bit; a pair of monomials breaks a cap exactly
-    when counts[a] + counts[b] + cap_offset sets a guard bit.  Codes are
+    code(m1) * (n+1)^|m2| + code(m2).  counts[i] packs the counts of the
+    letters whose cap is at most q, the only caps a product of degree <= q
+    can break, into one int64: the j-th such letter's count in bits
+    [w(j-1), wj), with w - 1 bits for the count and one guard bit; a pair of
+    monomials within the degree breaks a cap exactly when counts[a] +
+    counts[b] + cap_offset sets a guard bit, never when no cap is at most q
+    and all three are zero.  Codes are
     int64 while (n+1)^q stays below 2^62 and Python ints beyond, and so are
     powers[s] = (n+1)^s; products form support pairs only when the codes
     and the packed counts fit in int64 (see _convolve).
@@ -268,12 +280,13 @@ class _PolicySpace:
         self._triple_start = np.cumsum([0, *(np.arange(1, q + 2) * np.diff(deg_start))]).tolist()
         self.triples = self._triple_start[-1]
         self.counts = None
-        guard = int(cap.max()).bit_length()
+        bind = np.flatnonzero(cap <= q)
+        guard = int(cap[bind].max(initial=0)).bit_length()
         width = guard + 1
-        if n * width <= 62:
-            shift = width * np.arange(n, dtype=np.int64)
-            self.counts = (np.concatenate(counts) << shift).sum(axis=1)
-            self.cap_offset = int((((1 << guard) - cap) << shift).sum())
+        if len(bind) * width <= 62:
+            shift = width * np.arange(len(bind), dtype=np.int64)
+            self.counts = (np.concatenate(counts)[:, bind] << shift).sum(axis=1)
+            self.cap_offset = int((((1 << guard) - cap[bind]) << shift).sum())
             self.cap_guard = int(((1 << guard) << shift).sum())
         self.pairs_fit = codes_fit and self.counts is not None
         self.powers = base ** np.arange(q + 1, dtype=code_type)
@@ -675,32 +688,6 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     for g, mult in w.runs:
         vec = _mul_run(space, space.append[g], vec, mult)
     return TruncatedSeries(policy, vec)
-
-
-def lcs_lower_bound(w: Word, q: int) -> int | None:
-    """Smallest degree of a nonzero nonconstant term of expand(w) at total
-    degree q, or None meaning every such term vanishes (read: "at least q+1").
-
-    By Magnus faithfulness this equals the largest k <= q such that w lies in
-    the k-th lower central subgroup, whenever it is finite.
-    """
-    s = expand(w, TruncationPolicy.total_degree(w.rank, q))
-    for d in range(1, q + 1):
-        if s.degree_block_nonzero(d):
-            return d
-    return None
-
-
-def in_Jr(w: Word, caps: Sequence[int]) -> bool:
-    """Magnus membership test for the cap vector r.
-
-    True exactly when expand(w) reduces to 1 under the policy that drops any
-    monomial in which X_j occurs at least caps[j-1] times.  With caps all
-    k+1 this decides J^k; with k at slot i and k+1 elsewhere it decides the
-    component refinement J_i^k.
-    """
-    policy = TruncationPolicy.with_caps(w.rank, caps)
-    return expand(w, policy).is_one
 
 
 # -- structure maps ------------------------------------------------------------

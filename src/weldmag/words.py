@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 __all__ = [
     "Word",
@@ -43,8 +43,6 @@ __all__ = [
     "power",
     "conjugate",
     "commutator",
-    "linear_commutator",
-    "exponent_sum",
     "parse_word",
     "format_word",
 ]
@@ -190,26 +188,6 @@ def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x ȳ x̄ y."""
     _check_ranks(x, y)
     return multiply(x, invert(y), invert(x), y)
-
-
-def linear_commutator(entries: Sequence[Word]) -> Word:
-    """Right-nested bracket [x1, [x2, [..., [x_{m-1}, x_m]...]]].
-
-    A single entry is returned as is.
-    """
-    if not entries:
-        raise WordError("linear_commutator needs at least one entry")
-    out = entries[-1]
-    for x in reversed(entries[:-1]):
-        out = commutator(x, out)
-    return out
-
-
-def exponent_sum(w: Word, gen: int) -> int:
-    """Signed number of occurrences of a_gen in w (image under F_n -> Z)."""
-    if not 1 <= gen <= w.rank:
-        raise WordError(f"generator a{gen} out of range for rank {w.rank}")
-    return sum(m for g, m in w.runs if g == gen)
 
 
 _TOKEN = re.compile(r"([aA])([0-9]+)$")

@@ -11,7 +11,6 @@ from weldmag.arrows import (
     node,
     parse_realizer,
     realize_sorted,
-    serialize_realizer,
     sorted_presentation,
     surgery,
     tree_word,
@@ -24,7 +23,7 @@ from weldmag.words import (
     commutator,
     conjugate,
     empty,
-    exponent_sum,
+    format_word,
     generator,
     invert,
     multiply,
@@ -139,7 +138,7 @@ def test_realizer_soundness_random_words():
         pol = TruncationPolicy.total_degree(n, 4)
         lams = longitude_series(realize_sorted(ws), policy=pol)
         for i in range(n):
-            e = exponent_sum(ws[i], i + 1)
+            e = sum(m for g, m in ws[i].runs if g == i + 1)
             target = multiply(power(generator(n, i + 1), -e), ws[i])
             assert lams[i] == expand(target, pol)
 
@@ -189,7 +188,7 @@ def test_parse_and_serialize_realizer():
         empty(3),
         parse_word("a1", 3),
     )
-    assert serialize_realizer(words) == text
+    assert "\n".join(f"{i}: {format_word(w) or '-'}" for i, w in enumerate(words, 1)) == text
     assert parse_realizer("1: a2 / 2: -") == (generator(2, 2), empty(2))
 
 

@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from weldmag import gauss, magnus
-from weldmag.arrows import (
-    insert_self_tree,
-    leaf,
-    node,
-    realize_sorted,
-    sorted_presentation,
-    surgery,
-)
+from weldmag.arrows import realize_sorted
 from weldmag.gauss import (
     GaussCodeError,
     LinkCode,
@@ -26,7 +19,6 @@ from weldmag.gauss import (
     cut,
     longitude_series,
     parse,
-    self_writhe,
     serialize,
     stack,
     wirtinger,
@@ -105,21 +97,6 @@ def test_wirtinger_by_hand():
     ]
 
 
-def test_self_writhe():
-    assert self_writhe(parse("1: O1+ U1+"), 1) == 1
-    assert self_writhe(parse("1: O1- U1- O2+ U2+"), 1) == 0
-    code = parse(SINGLE)
-    assert self_writhe(code, 1) == 0
-    assert self_writhe(code, 2) == 0
-
-
-def test_self_writhe_rejects_components_out_of_range():
-    for code in (parse(SINGLE), parse(SINGLE, closed=True)):
-        for i in (-1, 0, 3):
-            with pytest.raises(GaussCodeError, match=rf"component {i} out of range 1\.\.2"):
-                self_writhe(code, i)
-
-
 def test_longitudes_trivial_and_single_crossing():
     l1, l2 = lam("1: / 2:", q=2)
     assert l1.is_one and l2.is_one
@@ -174,7 +151,7 @@ def test_r1_round_trip():
     code = parse(COMM23)
     bigger = apply_move(code, "R1insert", (1, 2, -1, "UO"))
     assert bigger.n == code.n
-    assert self_writhe(bigger, 1) == -1
+    assert crossing_writhe(bigger, 1) == -1
     assert (1, 2) in applicable_sites(bigger, "R1delete")
     assert apply_move(bigger, "R1delete", (1, 2)) == code
     with pytest.raises(GaussCodeError, match=r"R1delete does not apply at site \(1, 0\)"):
@@ -247,6 +224,16 @@ def test_passage_tokens():
 # -- the longitude solver against a plain Jacobi loop ------------------------------
 
 
+def crossing_writhe(code, i):
+    """The sum of the signs of the crossings whose two passages both lie on
+    component i, counted from the passages alone."""
+    on = {}
+    for c, comp in enumerate(code.components, start=1):
+        for p in comp:
+            on.setdefault(p.cid, []).append((c, p.sign))
+    return sum(ps[0][1] for ps in on.values() if [c for c, _ in ps] == [i, i])
+
+
 def jacobi_longitudes(code, policy, mul=series_mul, inverse=series_inverse):
     """Longitudes by full Jacobi sweeps: every sweep evaluates every relation
     from the previous sweep's arcs and inverts each over-arc afresh, until a
@@ -274,7 +261,7 @@ def jacobi_longitudes(code, policy, mul=series_mul, inverse=series_inverse):
         raise AssertionError("no fixed point")
     out = []
     for i in range(1, n + 1):
-        f_i = self_writhe(code, i)
+        f_i = crossing_writhe(code, i)
         out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
     for rel in pres.relations:
         g = arcs[rel.over] if rel.sign > 0 else inverse(arcs[rel.over])
@@ -422,44 +409,3 @@ def test_prefix_pass_matches_jacobi_on_random_codes(seed, nk, kind, policy_kind)
     else:
         pol = TruncationPolicy.component_caps(n, k, rng.randint(1, n))
     assert longitude_series(code, policy=pol) == jacobi_longitudes(code, pol)
-
-
-def crossing_writhe(code, i):
-    """The sum of the signs of the crossings whose two passages both lie on
-    component i, counted from the passages alone."""
-    on = {}
-    for c, comp in enumerate(code.components, start=1):
-        for p in comp:
-            on.setdefault(p.cid, []).append((c, p.sign))
-    return sum(ps[0][1] for ps in on.values() if [c for c, _ in ps] == [i, i])
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**32),
-    st.integers(1, 3),
-    st.sampled_from(("moved", "kinked", "stacked", "self-tree", "closed")),
-)
-def test_self_writhe_is_the_sign_sum_of_self_crossings(seed, n, kind):
-    """self_writhe, which jacobi_longitudes also reads, against a count of
-    the crossings that needs no Wirtinger presentation."""
-    rng = random.Random(seed)
-    base = sorted_code(rng, n, rng.randint(n, 3 * n))
-    if kind == "moved":
-        code = moved(rng, base, rng.randint(1, 6))
-    elif kind == "kinked":
-        code = kinked(moved(rng, base, rng.randint(0, 2)))
-    elif kind == "stacked":
-        code = stack(kinked(sorted_code(rng, n, n + 1)), moved(rng, base, rng.randint(0, 2)))
-    elif kind == "self-tree":
-        i = rng.randint(1, n)
-        conj = word_from_letters(n, oracle.random_reduced_letters(rng, n, 2))
-        t = node(leaf(i, conjugator=conj), leaf(i, twist=-1))
-        words = [word_from_letters(n, oracle.random_reduced_letters(rng, n, 3)) for _ in range(n)]
-        code = moved(rng, surgery(insert_self_tree(sorted_presentation(words), i, t)), 2)
-    else:
-        comps = kinked(moved(rng, base, rng.randint(0, 3))).components
-        offsets = [rng.randrange(max(1, len(c))) for c in comps]
-        code = LinkCode(tuple(c[b:] + c[:b] for c, b in zip(comps, offsets)))
-    for i in range(1, n + 1):
-        assert self_writhe(code, i) == crossing_writhe(code, i), (kind, i)

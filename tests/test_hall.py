@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,13 +11,8 @@ from hypothesis import strategies as st
 
 import _oracle as oracle
 from weldmag import hall, words
-from weldmag.hall import (
-    HallError,
-    generate_basic,
-    hall_factorize,
-    principal_part,
-)
-from weldmag.magnus import TruncationPolicy, expand, lcs_lower_bound
+from weldmag.hall import HallError, generate_basic, hall_factorize
+from weldmag.magnus import MagnusError, TruncationPolicy, expand
 from weldmag.words import Word, empty, generator, invert, multiply, power, word_from_letters
 
 
@@ -87,12 +83,21 @@ def test_generate_basic_rejects_bad_arguments():
         generate_basic(2, 0)
 
 
+def principal_terms(c, policy):
+    """The principal part of c, the degree-length(c) block of the expansion
+    of its word, as {monomial: coefficient}.  Under a total-degree policy
+    the degree-d block lists every monomial of length d in lex order."""
+    block = expand(c.word, policy).degree_block(c.length).tolist()
+    monos = itertools.product(range(1, policy.rank + 1), repeat=c.length)
+    return {m: v for m, v in zip(monos, block) if v}
+
+
 def test_principal_part_examples():
     pol = TruncationPolicy.total_degree(2, 3)
     basis = generate_basic(2, 3)
     a1, a2, c12 = basis[0], basis[1], basis[2]
-    assert {m: v for m, v in principal_part(a1, pol).items()} == {(1,): 1}
-    assert {m: v for m, v in principal_part(c12, pol).items()} == {
+    assert principal_terms(a1, pol) == {(1,): 1}
+    assert principal_terms(c12, pol) == {
         (2, 1): 1,
         (1, 2): -1,
     }
@@ -105,8 +110,7 @@ def test_principal_part_multiplicities_and_nonvanishing():
     for n in (2, 3):
         pol = TruncationPolicy.total_degree(n, 4)
         for c in generate_basic(n, 4):
-            pp = principal_part(c, pol)
-            terms = {m: v for m, v in pp.items()}
+            terms = principal_terms(c, pol)
             assert terms, c.bracket()
             for m in terms:
                 assert len(m) == c.length
@@ -116,8 +120,8 @@ def test_principal_part_multiplicities_and_nonvanishing():
 
 def test_principal_part_requires_enough_degree():
     c = generate_basic(2, 3)[4]
-    with pytest.raises(HallError):
-        principal_part(c, TruncationPolicy.total_degree(2, 2))
+    with pytest.raises(MagnusError, match=r"degree 3 out of range 0\.\.2"):
+        expand(c.word, TruncationPolicy.total_degree(2, 2)).degree_block(c.length)
 
 
 def exact_rank(rows):
@@ -142,10 +146,7 @@ def test_principal_parts_independent_per_degree():
         for d in range(1, 5):
             layer = [c for c in generate_basic(n, d) if c.length == d]
             pol = TruncationPolicy.total_degree(n, d)
-            monos = sorted({m for c in layer for m, _ in principal_part(c, pol).items()})
-            rows = [
-                [principal_part(c, pol).coefficient(m) for m in monos] for c in layer
-            ]
+            rows = [expand(c.word, pol).degree_block(d).tolist() for c in layer]
             assert exact_rank(rows) == len(layer) == oracle.witt(n, d)
 
 
@@ -200,7 +201,7 @@ def test_factorize_round_trips_random_words():
         assert certified
         prod = reconstruct(n, k, exps)
         rem = multiply(invert(prod), w)
-        assert lcs_lower_bound(rem, k) is None
+        assert expand(rem, TruncationPolicy.total_degree(n, k)).is_one
 
 
 def test_factorize_is_deterministic():
@@ -372,7 +373,7 @@ def test_degree_solver_rejects_inconsistent_right_hand_sides():
     exps, _ = hall_factorize(w, 4)
     b = np.zeros(3**4, dtype=np.int64)
     for c, e in zip(basis, exps[start:]):
-        b += e * principal_part(c, TruncationPolicy.total_degree(3, 4)).degree_block(4)
+        b += e * expand(c.word, TruncationPolicy.total_degree(3, 4)).degree_block(4)
     assert solve(b) == exps[start:]
     b[0] += 1
     with pytest.raises(HallError, match="degree-4 system inconsistent at row 0"):

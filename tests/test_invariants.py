@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle as oracle
@@ -22,18 +22,17 @@ from weldmag.invariants import (
     InvariantError,
     KReducedAction,
     action,
-    action_apply,
     action_compose,
     action_invert,
     compare,
     identity_action,
-    k_equal,
     link_vanishing,
     milnor,
     milnor_table,
     r_index,
 )
 from weldmag.magnus import (
+    Substitution,
     TruncationPolicy,
     expand,
     mul_letter,
@@ -191,19 +190,19 @@ def test_table_and_milnor_match_total_degree_read_out():
 def test_k_equal_modes_on_named_pairs():
     code = comm223()
     for mode in ("table", "longitude", "action"):
-        assert k_equal(code, code, 2, mode=mode)
-        assert k_equal(code, TRIVIAL3, 1, mode=mode)
-        assert not k_equal(code, TRIVIAL3, 2, mode=mode)
-        assert not k_equal(SINGLE, TRIVIAL2, 1, mode=mode)
+        assert compare(code, code, 2, mode)[0]
+        assert compare(code, TRIVIAL3, 1, mode)[0]
+        assert not compare(code, TRIVIAL3, 2, mode)[0]
+        assert not compare(SINGLE, TRIVIAL2, 1, mode)[0]
 
 
 def test_k_equal_validation():
     with pytest.raises(InvariantError, match="component counts differ"):
-        k_equal(SINGLE, TRIVIAL3, 1)
+        compare(SINGLE, TRIVIAL3, 1)
     with pytest.raises(InvariantError, match="unknown mode"):
-        k_equal(SINGLE, TRIVIAL2, 1, mode="fast")
+        compare(SINGLE, TRIVIAL2, 1, "fast")
     with pytest.raises(InvariantError, match="k must be"):
-        k_equal(SINGLE, TRIVIAL2, 0)
+        compare(SINGLE, TRIVIAL2, 0)
 
 
 def test_k_equal_modes_agree_on_random_pairs():
@@ -212,7 +211,7 @@ def test_k_equal_modes_agree_on_random_pairs():
         n = rng.randint(2, 3)
         k = rng.randint(1, 2)
         L, M = random_realized(rng, n, 4), random_realized(rng, n, 4)
-        answers = {mode: k_equal(L, M, k, mode=mode) for mode in ("table", "longitude", "action")}
+        answers = {mode: compare(L, M, k, mode)[0] for mode in ("table", "longitude", "action")}
         assert len(set(answers.values())) == 1, answers
 
 
@@ -268,7 +267,7 @@ def test_longitude_route_matches_per_component_passes():
         else:
             L, M = refinement_pair(rng, n, k)
         want = component_passes_agree(L, M, k)
-        assert k_equal(L, M, k, mode="longitude") is want, (trial, n, k)
+        assert compare(L, M, k, "longitude")[0] is want, (trial, n, k)
         uniform = TruncationPolicy.uniform_caps(n, k)
         differ = longitude_series(L, policy=uniform) != longitude_series(M, policy=uniform)
         seen.add((style, want, differ))
@@ -416,38 +415,53 @@ def test_action_of_single_crossing():
 
 
 def test_action_apply():
+    """phi acts on a word through its substitution applied to the word's
+    expansion: multiplicatively, trivially for the identity action, and
+    only on words of phi's rank."""
     phi = action(SINGLE, 2)
-    assert action_apply(phi, empty(2)).is_one
+    apply = Substitution(phi.conjugators)
+    assert apply(expand(empty(2), phi.policy)).is_one
     w = parse_word("a1 a2", 2)
-    lhs = action_apply(phi, w)
-    rhs = series_mul(action_apply(phi, generator(2, 1)), action_apply(phi, generator(2, 2)))
+    lhs = apply(expand(w, phi.policy))
+    rhs = series_mul(
+        apply(expand(generator(2, 1), phi.policy)), apply(expand(generator(2, 2), phi.policy))
+    )
     assert lhs == rhs
     ident = identity_action(2, 2)
-    assert action_apply(ident, w) == expand(w, ident.policy)
-    with pytest.raises(InvariantError, match="rank"):
-        action_apply(phi, generator(3, 1))
+    assert Substitution(ident.conjugators)(expand(w, ident.policy)) == expand(w, ident.policy)
+    with pytest.raises(magnus.MagnusError, match="rank"):
+        apply(expand(generator(3, 1), phi.policy))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.integers(0, 2**32),
     st.sampled_from(((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))),
     st.lists(st.tuples(st.integers(1, 3), st.integers(-3, 3)), max_size=6),
+    st.booleans(),
 )
-def test_action_apply_is_the_product_of_image_powers(seed, nk, runs):
-    """action_apply substitutes into the expansion of w; the reference
-    multiplies phi's images run by run, the inverse of an image standing in
-    for each letter of a negative run."""
+@example(0, (2, 2), [], False)  # the empty word
+@example(0, (2, 2), [(1, 1), (2, 1)], True)  # a1 a2 under the identity
+def test_action_apply_is_the_product_of_image_powers(seed, nk, runs, identity):
+    """phi(w) is phi's substitution applied to the expansion of w; the
+    reference multiplies phi's images run by run, the inverse of an image
+    standing in for each letter of a negative run."""
     rng = random.Random(seed)
     n, k = nk
-    phi = action(moved_or_kinked(rng, random_realized(rng, n, 4), "moved"), k)
+    if identity:
+        phi = identity_action(n, k)
+    else:
+        phi = action(moved_or_kinked(rng, random_realized(rng, n, 4), "moved"), k)
     w = multiply(empty(n), *(power(generator(n, (g - 1) % n + 1), e) for g, e in runs))
     want = series_one(phi.policy)
     for g, e in w.runs:
         image = phi.images[g - 1] if e > 0 else series_inverse(phi.images[g - 1])
         for _ in range(abs(e)):
             want = series_mul(want, image)
-    assert action_apply(phi, w) == want
+    got = Substitution(phi.conjugators)(expand(w, phi.policy))
+    assert got == want
+    if identity:
+        assert got == expand(w, phi.policy)
 
 
 def test_action_compose_identity_and_homomorphism():

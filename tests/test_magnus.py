@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from weldmag.magnus import (
     expand,
     format_monomial,
     format_series,
-    in_Jr,
-    lcs_lower_bound,
     mul_letter,
     retruncate,
     series_from_terms,
@@ -33,7 +32,6 @@ from weldmag.words import (
     conjugate,
     generator,
     invert,
-    linear_commutator,
     multiply,
     parse_word,
     power,
@@ -78,6 +76,19 @@ def test_policy_constructors():
         TruncationPolicy.total_degree(0, 3)
     with pytest.raises(MagnusError):
         TruncationPolicy.with_caps(2, (0, 2))
+    # a float or a string is refused by name, not rounded into a policy or
+    # kept until a later step fails; numpy integers are integers
+    for rank, q, caps, bad in (
+        (2, 1.5, (3, 3), "total degree cap must be an integer, got 1.5"),
+        (2, 3, (2.9, 2), "cap must be an integer, got 2.9"),
+        (2, 3, ("3", 3), "cap must be an integer, got '3'"),
+        (2.0, 3, (3, 3), "rank must be an integer, got 2.0"),
+    ):
+        with pytest.raises(MagnusError, match=re.escape(bad)):
+            TruncationPolicy(rank, q, caps)
+    n = TruncationPolicy(np.int64(2), np.int32(3), (np.int8(2), 3))
+    assert n == TruncationPolicy.with_caps(2, (2, 3))
+    assert all(type(x) is int for x in (n.rank, n.max_total_degree, *n.caps))
 
 
 # descriptions (rank, q, caps) with a cap above q + 1 or a degree above
@@ -221,6 +232,23 @@ def kernel_operands(rng, policy, support, big):
     return da, db
 
 
+def test_wide_total_degree_policy_takes_the_support_pairs(monkeypatch):
+    """A total-degree policy's caps q + 1 never bind on a product within the
+    degree, so no letter count is packed, and a rank too wide to pack them
+    all still has the support pairs: sparse products of total_degree(16, 3),
+    above the size floor of the pair path, take them and match the oracle."""
+    policy = TruncationPolicy.total_degree(16, 3)
+    space = magnus._space(policy)
+    assert space.pairs_fit and space.triples >= magnus.DENSE_BELOW_TRIPLES
+    paths = record_paths(monkeypatch)
+    rng = random.Random(16)
+    for _ in range(20):
+        da, db = kernel_operands(rng, policy, "sparse", False)
+        got = series_mul(series_from_terms(policy, da), series_from_terms(policy, db))
+        assert as_dict(got) == oracle.mul(da, db, policy.max_total_degree, policy.caps)
+    assert paths == {"pairs": 20, "dense": 0}
+
+
 def test_series_mul_kernel_matches_oracle(monkeypatch):
     """Both product paths against the dict oracle, from one-term operands
     to full support, on int64 and (coefficients times 2**62 + 1, past
@@ -351,17 +379,33 @@ def test_faithfulness_small():
 
 
 def test_lcs_lower_bound():
+    """The lowest degree of a nonconstant term of expand(w) at total degree
+    q, the lower-central depth of w when it is at most q; an expansion equal
+    to 1 means depth at least q + 1."""
     a, b, c = (generator(3, i) for i in (1, 2, 3))
-    assert lcs_lower_bound(word_from_letters(3, []), 5) is None
-    assert lcs_lower_bound(a, 5) == 1
-    assert lcs_lower_bound(commutator(a, b), 5) == 2
-    assert lcs_lower_bound(linear_commutator([a, b, c]), 5) == 3
-    assert lcs_lower_bound(linear_commutator([a, b, c, a]), 3) is None  # deviation starts at 4
+
+    def lowest(w, q):
+        s = expand(w, TruncationPolicy.total_degree(w.rank, q))
+        return next(d for d in range(1, q + 1) if s.degree_block_nonzero(d))
+
+    assert expand(word_from_letters(3, []), TruncationPolicy.total_degree(3, 5)).is_one
+    assert lowest(a, 5) == 1
+    assert lowest(commutator(a, b), 5) == 2
+    assert lowest(commutator(a, commutator(b, c)), 5) == 3
+    deep = commutator(a, commutator(b, commutator(c, a)))
+    assert expand(deep, TruncationPolicy.total_degree(3, 3)).is_one  # deviation starts at 4
+    assert lowest(deep, 4) == 4
     with pytest.raises(MagnusError):
-        lcs_lower_bound(a, 0)
+        TruncationPolicy.total_degree(3, 0)
 
 
 def test_in_Jr():
+    """Membership in the subgroup J_r of a cap vector r: expand(w) is 1
+    under the policy that drops any monomial in which X_j occurs r_j times."""
+
+    def in_Jr(w, caps):
+        return expand(w, TruncationPolicy.with_caps(w.rank, caps)).is_one
+
     # conjugates of a2 commutated twice: two occurrences of X2 in every term
     a2, a3 = generator(3, 2), generator(3, 3)
     w = commutator(a2, conjugate(a2, a3))
@@ -370,7 +414,7 @@ def test_in_Jr():
     assert not in_Jr(a2, (3, 2, 3))
     assert in_Jr(power(a2, 5), (3, 1, 3))
     with pytest.raises(MagnusError):
-        in_Jr(a2, (3, 3))  # caps length mismatch
+        TruncationPolicy.with_caps(3, (3, 3))  # caps length mismatch
 
 
 def test_coefficient():

@@ -4,11 +4,13 @@ import ast
 import importlib
 import inspect
 import pathlib
+import re
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "weldmag"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weldmag"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -110,3 +112,51 @@ def test_package_imports_only_exported_names():
 
 def test_modules_are_found():
     assert {p.name for p in MODULES} >= {"gauss.py", "magnus.py", "invariants.py", "cli.py"}
+
+
+# Public names with no caller in the package, the README or the benchmark,
+# each kept for its own reason.
+KEPT = {
+    "series_from_terms": "the one way to build a series from given terms",
+    "r_index": "the paper's r(I), the largest multiplicity in an index",
+    "closure": "the paper's link case: a string link closed up",
+}
+
+
+def _referenced_names(path, bare=True):
+    """The attributes a file reads, and the bare names it reads when bare,
+    else only those it imports from the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and bare:
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and not bare and _imports_weldmag(node):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    """A name in a module's __all__ is used in the package, shown in the
+    README or called by the benchmark, or is listed in KEPT with its reason.
+    Tests and demos do not count: a name only they call is a second way to
+    do what the names they compose already do.  A benchmark file's own
+    functions are not the package's, so there only attributes and names
+    imported from the package count."""
+    called = set().union(
+        *(_referenced_names(p) for p in MODULES),
+        *(_referenced_names(p, bare=False) for p in sorted((ROOT / "benchmark").glob("*.py"))),
+    )
+    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    exported = {
+        name
+        for path in MODULES
+        if path.name != "__init__.py"
+        for name in importlib.import_module(f"weldmag.{path.stem}").__all__
+    }
+    assert KEPT.keys() <= exported
+    uncalled = sorted(exported - called - readme - KEPT.keys())
+    assert not uncalled, uncalled
+    assert not KEPT.keys() & (called | readme), "a kept name has a caller now"

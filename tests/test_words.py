@@ -10,11 +10,9 @@ from weldmag.words import (
     commutator,
     conjugate,
     empty,
-    exponent_sum,
     format_word,
     generator,
     invert,
-    linear_commutator,
     multiply,
     parse_word,
     power,
@@ -113,23 +111,6 @@ def test_commutator_identities_spot():
         assert invert(commutator(a, b)) == commutator(invert(b), invert(a))
         assert commutator(a, b) == multiply(conjugate(invert(b), invert(a)), b)
         assert conjugate(commutator(a, b), c) == commutator(conjugate(a, c), conjugate(b, c))
-
-
-def test_linear_commutator():
-    a, b, c = (generator(3, i) for i in (1, 2, 3))
-    assert linear_commutator([a, b]) == commutator(a, b)
-    assert linear_commutator([a, b, c]) == commutator(a, commutator(b, c))
-    assert linear_commutator([a]) == a
-    with pytest.raises(WordError):
-        linear_commutator([])
-
-
-def test_exponent_sum():
-    w = parse_word("a1 a2 A1 a2 a2", 2)
-    assert exponent_sum(w, 1) == 0
-    assert exponent_sum(w, 2) == 3
-    with pytest.raises(WordError):
-        exponent_sum(w, 3)
 
 
 @given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0), max_size=20))
