@@ -16,11 +16,13 @@ code = parse("1: U1+ / 2: O1+")
 print("code:")
 print(serialize(code))
 
-# the Wirtinger presentation: arcs of each strand, one relation per crossing
-pres = wirtinger(code)
-print("arcs per strand:", pres.arc_counts)
-for rel in pres.relations:
-    print("  relation:", rel)
+# the Wirtinger relations of each strand, one per Under passage; a strand
+# has one arc more than it has relations
+comps = wirtinger(code)
+print("arcs per strand:", tuple(len(rels) + 1 for rels in comps))
+for i, rels in enumerate(comps, start=1):
+    for rel in rels:
+        print(f"  strand {i} relation:", rel)
 
 # longitudes as truncated series (degree 2 is plenty here)
 lams = longitude_series(code, TruncationPolicy.total_degree(code.n, 2))

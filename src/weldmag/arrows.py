@@ -84,12 +84,6 @@ class CommTree:
     def is_leaf(self) -> bool:
         return self.generator is not None
 
-    @property
-    def degree(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.degree + self.right.degree
-
     def leaves(self) -> Iterable["CommTree"]:
         if self.is_leaf:
             yield self
@@ -106,27 +100,16 @@ def node(left: CommTree, right: CommTree, twist: int = 1) -> CommTree:
     return CommTree(left=left, right=right, twist=twist)
 
 
-def _min_rank(t: CommTree) -> int:
-    r = 0
-    for lf in t.leaves():
-        r = max(r, lf.generator)
-        if lf.conjugator is not None:
-            r = max(r, lf.conjugator.rank)
-    return r
-
-
-def tree_word(t: CommTree, rank: int | None = None) -> Word:
-    """The word spelled by a tree: leaves give (possibly inverted, possibly
-    conjugated) generators, nodes give commutators of their children."""
-    r = _min_rank(t) if rank is None else rank
-    if r < _min_rank(t):
-        raise ArrowError(f"rank {rank} too small for the tree's generators")
+def tree_word(t: CommTree, rank: int) -> Word:
+    """The word in F_rank spelled by a tree: leaves give (possibly inverted,
+    possibly conjugated) generators, nodes give commutators of their
+    children."""
 
     def go(s: CommTree) -> Word:
         if s.is_leaf:
-            w = Word(r, ((s.generator, s.twist),))
+            w = Word(rank, ((s.generator, s.twist),))
             if s.conjugator is not None and len(s.conjugator):
-                w = conjugate(w, Word(r, s.conjugator.runs))
+                w = conjugate(w, Word(rank, s.conjugator.runs))
             return w
         w = commutator(go(s.left), go(s.right))
         return invert(w) if s.twist < 0 else w

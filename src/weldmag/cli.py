@@ -55,11 +55,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_milnor(args: argparse.Namespace) -> int:
     code = gauss.parse(_read_source(args.code))
-    if args.index is None:
-        return _print_table(code, 1 if args.k is None else args.k, args.max_len, args.json)
-    for flag, value in (("--k", args.k), ("--max-len", args.max_len)):
-        if value is not None:
-            raise ValueError(f"{flag} has no effect with --index")
     I = _parse_ints(args.index, "index")
     value = invariants.milnor(code, I)
     if args.json:
@@ -69,18 +64,14 @@ def _cmd_milnor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_table(code: gauss.StringLinkCode, k: int, max_len: int | None, as_json: bool) -> int:
-    table = invariants.milnor_table(code, k, max_len)
-    if as_json:
+def _cmd_table(args: argparse.Namespace) -> int:
+    table = invariants.milnor_table(gauss.parse(_read_source(args.code)), args.k, args.max_len)
+    if args.json:
         _print_json({"k": table.k, "max_len": table.max_len, "entries": table.to_json_obj()})
     else:
         for line in table.format_lines():
             print(line)
     return 0
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    return _print_table(gauss.parse(_read_source(args.code)), args.k, args.max_len, args.json)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -208,24 +199,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Milnor invariants of welded string links")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, max_len=False):
+    def add_common(sp):
         sp.add_argument("--k", type=int, default=1, help="filter level k >= 1")
-        if max_len:
-            sp.add_argument("--max-len", type=int, default=None, dest="max_len",
-                            help="largest index length to report")
         sp.add_argument("--json", action="store_true", help="JSON output")
 
-    sp = sub.add_parser("milnor", help="invariant table, or one mu(I) with --index")
+    sp = sub.add_parser("milnor", help="one invariant mu(I)")
     sp.add_argument("code", help="Gauss-code file or inline text")
-    sp.add_argument("--index", default=None,
-                    help="comma-separated index, e.g. 2,1; takes no --k or --max-len")
-    add_common(sp, max_len=True)
-    # None tells an explicit --k from the table's default k = 1
-    sp.set_defaults(func=_cmd_milnor, k=None)
+    sp.add_argument("--index", required=True, help="comma-separated index, e.g. 2,1")
+    sp.add_argument("--json", action="store_true", help="JSON output")
+    sp.set_defaults(func=_cmd_milnor)
 
     sp = sub.add_parser("table", help="nonzero mu(I) with r(I) <= k")
     sp.add_argument("code", help="Gauss-code file or inline text")
-    add_common(sp, max_len=True)
+    sp.add_argument("--max-len", type=int, default=None, dest="max_len",
+                    help="largest index length to report")
+    add_common(sp)
     sp.set_defaults(func=_cmd_table)
 
     sp = sub.add_parser("compare", help="decide the level-k equivalence of two codes")

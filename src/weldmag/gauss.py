@@ -19,9 +19,9 @@ with a single positive crossing in which component 2 passes over component 1.
 
 From a code the module derives:
 
-* the Wirtinger presentation: arcs are maximal runs between Under passages,
-  and the j-th Under passage of component i with over-arc generator g and
-  sign e contributes the relation a_{i,j+1} = (g^e)^{-1} a_{i,j} (g^e);
+* the Wirtinger relations, one tuple per component: arcs are maximal runs
+  between Under passages, and relation j of component i, its j-th Under
+  passage under over-arc g with sign e, is a_{i,j+1} = (g^e)^{-1} a_{i,j} g^e;
 * the self-writhe f_i of component i, read off the relations: the sum of
   the signs of component i's relations whose over-arc lies on component i;
 * the preferred longitudes: component i's longitude is the last of the
@@ -39,6 +39,7 @@ From a code the module derives:
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -52,7 +53,6 @@ __all__ = [
     "StringLinkCode",
     "LinkCode",
     "WirtingerRelation",
-    "WirtingerPresentation",
     "numbered_lines",
     "parse",
     "serialize",
@@ -195,33 +195,20 @@ def serialize(code: StringLinkCode | LinkCode) -> str:
 
 @dataclass(frozen=True)
 class WirtingerRelation:
-    """a_{component, under_index+1} = conjugate(a_{component, under_index}, g^sign)
-    where g is the arc generator ``over`` = (component, arc index)."""
+    """One Under passage: the arc after it is the arc before it conjugated
+    by g^sign, for the arc generator ``over`` = (component, arc index)."""
 
-    component: int
-    under_index: int  # 1-based position among the component's Under passages
     over: tuple[int, int]
     sign: int
 
 
-@dataclass(frozen=True)
-class WirtingerPresentation:
-    """Arc generators a_{i,j} (j = 1..arc_counts[i-1]) with one conjugation
-    relation per Under passage; the meridian of component i is a_{i,1}."""
-
-    arc_counts: tuple[int, ...]
-    relations: tuple[WirtingerRelation, ...]
-
-
-def wirtinger(code: StringLinkCode | LinkCode) -> WirtingerPresentation:
-    """The Wirtinger presentation read off the code.
-
-    Arc j of a component starts after its (j-1)-th Under passage, so an Over
+def wirtinger(code: StringLinkCode | LinkCode) -> tuple[tuple[WirtingerRelation, ...], ...]:
+    """The Wirtinger relations, one tuple per component: relation j of
+    component i is its j-th Under passage and gives arc a_{i,j+1}, so the
+    component has len(relations) + 1 arcs, the first its meridian.  An Over
     passage lies on the arc numbered one more than the Under passages before
-    it.  A closed code is read as if cut open before each first passage.
-    """
+    it.  A closed code is read as if cut open before each first passage."""
     over_arc: dict[int, tuple[int, int]] = {}
-    arc_counts = []
     for i, comp in enumerate(code.components, start=1):
         arc = 1
         for p in comp:
@@ -229,13 +216,10 @@ def wirtinger(code: StringLinkCode | LinkCode) -> WirtingerPresentation:
                 over_arc[p.cid] = (i, arc)
             else:
                 arc += 1
-        arc_counts.append(arc)
-    relations = []
-    for i, comp in enumerate(code.components, start=1):
-        unders = [p for p in comp if p.role == "U"]
-        for j, p in enumerate(unders, start=1):
-            relations.append(WirtingerRelation(i, j, over_arc[p.cid], p.sign))
-    return WirtingerPresentation(tuple(arc_counts), tuple(relations))
+    return tuple(
+        tuple(WirtingerRelation(over_arc[p.cid], p.sign) for p in comp if p.role == "U")
+        for comp in code.components
+    )
 
 
 # -- preferred longitudes ----------------------------------------------------------
@@ -276,17 +260,17 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
 
     qeff = policy.max_total_degree
     one = series_one(policy)
-    relations = wirtinger(code).relations
-    comps = [[rel for rel in relations if rel.component == i] for i in range(1, n + 1)]
-    iterated = {rel.over for rel in relations if rel.over[1] > 1}
+    comps = wirtinger(code)
+    iterated = {rel.over for rels in comps for rel in rels if rel.over[1] > 1}
     # P_j^-1 is needed for j below the index of component i's last iterated arc
     last = [max([j - 1 for c, j in iterated if c == i], default=0) for i in range(1, n + 1)]
     powers: dict = {key: set() for key in iterated}
-    for rel in relations:
-        if rel.over in iterated:
-            powers[rel.over].add(rel.sign)
-            if rel.under_index <= last[rel.component - 1]:
-                powers[rel.over].add(-rel.sign)
+    for rels, last_i in zip(comps, last):
+        for j, rel in enumerate(rels, start=1):
+            if rel.over in iterated:
+                powers[rel.over].add(rel.sign)
+                if j <= last_i:
+                    powers[rel.over].add(-rel.sign)
     # arcs[(key, e)] is the arc's series to the power e = +-1, from its meridian
     arcs = {(key, e): mul_letter(one, key[0], e) for key, es in powers.items() for e in es}
     kept = {}  # (i, r) -> (P, P^-1) before relation r of component i
@@ -294,7 +278,7 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
         f = sum(rel.sign for rel in rels if rel.over[0] == i)  # the self-writhe
         kept[(i, 0)] = mul_letter(one, i, -f), (mul_letter(one, i, f) if last[i - 1] else None)
     out = [kept[(i, 0)][0] for i in range(1, n + 1)]
-    moved = {rel.over for rel in relations}  # sweep 1 reads every over-arc afresh
+    moved = {rel.over for rels in comps for rel in rels}  # sweep 1 reads every over-arc afresh
     for t in range(1, qeff + 2):
         new, moved_now = dict(arcs), set()
         for i, rels in enumerate(comps, start=1):
@@ -463,6 +447,10 @@ def cut(link: LinkCode, basepoints: Sequence[int] | None = None) -> StringLinkCo
         raise GaussCodeError("need one basepoint per component")
     comps = []
     for comp, b in zip(link.components, basepoints):
+        try:
+            b = operator.index(b)
+        except TypeError:
+            raise GaussCodeError(f"basepoint must be an integer, got {b!r}") from None
         limit = max(1, len(comp))
         if not 0 <= b < limit:
             raise GaussCodeError(f"basepoint {b} out of range for component of length {len(comp)}")

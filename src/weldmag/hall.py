@@ -89,10 +89,6 @@ class BasicCommutator:
     entries: tuple[int, ...]
     text: str
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.generator is not None
-
     def bracket(self) -> str:
         """Nested bracket string, e.g. ``[[a1,a2],a2]``."""
         return self.text

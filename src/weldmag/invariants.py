@@ -40,6 +40,7 @@ every round for every conjugator and then to the composition phi then psi.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -84,6 +85,17 @@ def r_index(I: Sequence[int]) -> int:
     if not I:
         raise InvariantError("empty index sequence")
     return max(I.count(j) for j in set(I))
+
+
+def _level(k: int) -> int:
+    """The level k as an int, at least 1."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise InvariantError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise InvariantError(f"k must be >= 1, got {k}")
+    return k
 
 
 def _check_index(I: Sequence[int], n: int) -> tuple[int, ...]:
@@ -165,9 +177,7 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     occurrences of X_i.  Cost follows that policy's monomial count (4,845
     at n=4, k=2), not the n^(n*k) index tuples of length up to n*k.
     """
-    if k < 1:
-        raise InvariantError(f"k must be >= 1, got {k}")
-    n = L.n
+    k, n = _level(k), L.n
     cap = n * k if max_len is None else min(max_len, n * k)
     if cap < 2:
         return InvariantTable(k=k, max_len=cap)
@@ -196,14 +206,6 @@ def _read_table(longitudes: Sequence[TruncatedSeries], k: int, cap: int) -> Inva
 # -- the three equivalent predicates -----------------------------------------------
 
 
-def _check_pair(L: StringLinkCode, M: StringLinkCode, k: int) -> int:
-    if L.n != M.n:
-        raise InvariantError(f"component counts differ: {L.n} vs {M.n}")
-    if k < 1:
-        raise InvariantError(f"k must be >= 1, got {k}")
-    return L.n
-
-
 def compare(
     L: StringLinkCode, M: StringLinkCode, k: int, mode: str = "table"
 ) -> tuple[bool, tuple[tuple[int, ...], int, int] | None]:
@@ -224,7 +226,9 @@ def compare(
     their pass: a monomial of the top degree n*k has every variable k times
     and is never read, so the tables are those of milnor_table.
     """
-    n = _check_pair(L, M, k)
+    if L.n != M.n:
+        raise InvariantError(f"component counts differ: {L.n} vs {M.n}")
+    n, k = L.n, _level(k)
     if mode == "table":
         diff = milnor_table(L, k).first_difference(milnor_table(M, k))
         return diff is None, diff
@@ -321,9 +325,7 @@ def identity_action(n: int, k: int) -> KReducedAction:
 def action(L: StringLinkCode, k: int) -> KReducedAction:
     """The level-k action of a string link: conjugator i is its i-th
     longitude series in the all-caps quotient."""
-    if k < 1:
-        raise InvariantError(f"k must be >= 1, got {k}")
-    return KReducedAction(longitude_series(L, policy=TruncationPolicy.uniform_caps(L.n, k)))
+    return KReducedAction(longitude_series(L, policy=TruncationPolicy.uniform_caps(L.n, _level(k))))
 
 
 def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:

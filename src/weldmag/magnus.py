@@ -149,6 +149,13 @@ def _integer(value: object, what: str) -> int:
         raise MagnusError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _caps(value: object) -> tuple[int, ...]:
+    """value as a tuple of ints; a string or a non-iterable is refused."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise MagnusError(f"caps must be a sequence of integers, got {value!r}")
+    return tuple(_integer(c, "cap") for c in value)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Monomial ideal: keep monomials of total degree <= max_total_degree
@@ -166,7 +173,7 @@ class TruncationPolicy:
 
     def __post_init__(self) -> None:
         rank, q = _integer(self.rank, "rank"), _integer(self.max_total_degree, "total degree cap")
-        caps = tuple(_integer(c, "cap") for c in self.caps)
+        caps = _caps(self.caps)
         if rank < 1:
             raise MagnusError(f"rank must be positive, got {rank}")
         if q < 0:
@@ -190,7 +197,7 @@ class TruncationPolicy:
         """Per-variable caps; q defaults to sum(caps) - rank, the largest
         degree any surviving monomial can have.  Normalized as the class
         says: with_caps(2, (4, 4), 3) is total_degree(2, 3)."""
-        caps = tuple(caps)
+        caps = _caps(caps)
         return cls(rank, sum(caps) - rank if q is None else q, caps)
 
     @classmethod
@@ -421,10 +428,6 @@ class TruncatedSeries:
         if self._vec[0] != 1:
             return False
         return not (self._vec[1:] != 0).any()
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self._vec != 0).any()
 
     def degree_block(self, d: int) -> np.ndarray:
         """The degree-d coefficients in (degree, lex) order, a read-only

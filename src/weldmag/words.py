@@ -28,6 +28,7 @@ token sequence.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -50,6 +51,14 @@ __all__ = [
 
 class WordError(ValueError):
     """Raised on malformed word input or rank mismatch."""
+
+
+def _integer(value: object, what: str) -> int:
+    """value as an int, for ints and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise WordError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _merge_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -83,17 +92,21 @@ class Word:
     runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise WordError(f"rank must be positive, got {self.rank}")
+        rank = _integer(self.rank, "rank")
+        if rank < 1:
+            raise WordError(f"rank must be positive, got {rank}")
+        runs = tuple((_integer(g, "generator"), _integer(m, "multiplicity")) for g, m in self.runs)
         previous = None
-        for gen, mult in self.runs:
-            if not 1 <= gen <= self.rank:
-                raise WordError(f"generator a{gen} out of range for rank {self.rank}")
+        for gen, mult in runs:
+            if not 1 <= gen <= rank:
+                raise WordError(f"generator a{gen} out of range for rank {rank}")
             if mult == 0:
                 raise WordError("zero-multiplicity run in word")
             if gen == previous:
                 raise WordError(f"adjacent runs of generator a{gen} in word")
             previous = gen
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "runs", runs)
 
     def letters(self) -> Iterator[int]:
         """Yield single letters as signed generator indices (+g / -g)."""
@@ -104,10 +117,6 @@ class Word:
 
     def __len__(self) -> int:
         return sum(abs(m) for _, m in self.runs)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.runs
 
     def __repr__(self) -> str:
         return f"Word({self.rank}, {format_word(self)!r})"

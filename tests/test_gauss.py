@@ -87,13 +87,12 @@ def test_parse_errors_name_the_problem():
 
 
 def test_wirtinger_by_hand():
-    pres = wirtinger(parse("1: U1+ O2+ U3- / 2: O1+ U2+ O3-"))
-    assert pres.arc_counts == (3, 2)
-    rels = [(r.component, r.under_index, r.over, r.sign) for r in pres.relations]
+    comps = wirtinger(parse("1: U1+ O2+ U3- / 2: O1+ U2+ O3-"))
+    assert [len(rels) + 1 for rels in comps] == [3, 2]  # arcs per component
+    rels = [[(r.over, r.sign) for r in rels] for rels in comps]
     assert rels == [
-        (1, 1, (2, 1), 1),
-        (1, 2, (2, 2), -1),
-        (2, 1, (1, 2), 1),
+        [((2, 1), 1), ((2, 2), -1)],
+        [((1, 2), 1)],
     ]
 
 
@@ -214,6 +213,9 @@ def test_closure_and_cut():
         cut(link, [0])
     with pytest.raises(GaussCodeError, match="out of range"):
         cut(link, [2, 0])
+    for bad in (1.5, "1"):
+        with pytest.raises(GaussCodeError, match=f"basepoint must be an integer, got {bad!r}"):
+            cut(link, [bad, 0])
 
 
 def test_passage_tokens():
@@ -239,21 +241,21 @@ def jacobi_longitudes(code, policy, mul=series_mul, inverse=series_inverse):
     from the previous sweep's arcs and inverts each over-arc afresh, until a
     sweep changes nothing."""
     n = code.n
-    pres = wirtinger(code)
+    comps = wirtinger(code)
     meridians = [expand(Word(n, ((i, 1),)), policy) for i in range(1, n + 1)]
     arcs = {
         (i, j): meridians[i - 1]
-        for i, count in enumerate(pres.arc_counts, start=1)
-        for j in range(1, count + 1)
+        for i, rels in enumerate(comps, start=1)
+        for j in range(1, len(rels) + 2)
     }
     for _ in range(policy.max_total_degree + 1):
         new = {(i, 1): meridians[i - 1] for i in range(1, n + 1)}
-        for rel in pres.relations:
-            g, g_inv = arcs[rel.over], inverse(arcs[rel.over])
-            if rel.sign < 0:
-                g, g_inv = g_inv, g
-            i, j = rel.component, rel.under_index
-            new[(i, j + 1)] = mul(mul(g_inv, new[(i, j)]), g)
+        for i, rels in enumerate(comps, start=1):
+            for j, rel in enumerate(rels, start=1):
+                g, g_inv = arcs[rel.over], inverse(arcs[rel.over])
+                if rel.sign < 0:
+                    g, g_inv = g_inv, g
+                new[(i, j + 1)] = mul(mul(g_inv, new[(i, j)]), g)
         if new == arcs:
             break
         arcs = new
@@ -263,9 +265,10 @@ def jacobi_longitudes(code, policy, mul=series_mul, inverse=series_inverse):
     for i in range(1, n + 1):
         f_i = crossing_writhe(code, i)
         out.append(expand(Word(n, ((i, -f_i),) if f_i else ()), policy))
-    for rel in pres.relations:
-        g = arcs[rel.over] if rel.sign > 0 else inverse(arcs[rel.over])
-        out[rel.component - 1] = mul(out[rel.component - 1], g)
+    for i, rels in enumerate(comps):
+        for rel in rels:
+            g = arcs[rel.over] if rel.sign > 0 else inverse(arcs[rel.over])
+            out[i] = mul(out[i], g)
     return tuple(out)
 
 
@@ -345,7 +348,7 @@ def test_sorted_code_costs_no_product_and_no_inverse(monkeypatch):
     rng = random.Random(7)
     for n, k in ((2, 2), (3, 2), (4, 1)):
         code = sorted_code(rng, n, 5 * n)
-        rels = wirtinger(code).relations
+        rels = [rel for comp in wirtinger(code) for rel in comp]
         assert rels and all(rel.over[1] == 1 for rel in rels)  # over-arcs are meridians
         pol = TruncationPolicy.uniform_caps(n, k)
         counts.update(mul=0, inverse=0)

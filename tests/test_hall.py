@@ -53,7 +53,7 @@ def test_order_and_bracket_strings():
     ]
     # each bracket string is its children's, and repr shows it
     for c in generate_basic(3, 5):
-        want = f"a{c.generator}" if c.is_leaf else f"[{c.left.bracket()},{c.right.bracket()}]"
+        want = f"a{c.generator}" if c.length == 1 else f"[{c.left.bracket()},{c.right.bracket()}]"
         assert c.bracket() == want and repr(c) == f"BasicCommutator({c.ordinal}: {want})"
     # ordinals are just positions, and lengths never decrease
     basis = generate_basic(3, 4)
@@ -64,7 +64,7 @@ def test_order_and_bracket_strings():
 
 def test_basis_invariants():
     for c in generate_basic(3, 5):
-        if c.is_leaf:
+        if c.generator is not None:
             assert c.length == 1
             continue
         assert c.length == c.left.length + c.right.length

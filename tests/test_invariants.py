@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -203,6 +205,20 @@ def test_k_equal_validation():
         compare(SINGLE, TRIVIAL2, 1, "fast")
     with pytest.raises(InvariantError, match="k must be"):
         compare(SINGLE, TRIVIAL2, 0)
+
+
+def test_level_is_an_integer():
+    """Every question reads k the same way: a string or a float is refused
+    by name, as is k < 1, and numpy integers are integers."""
+    for bad, message in (("2", "k must be an integer, got '2'"),
+                         (1.5, "k must be an integer, got 1.5"),
+                         (0, "k must be >= 1, got 0")):
+        for ask in (lambda k: milnor_table(SINGLE, k), lambda k: action(SINGLE, k),
+                    lambda k: compare(SINGLE, SINGLE, k),
+                    lambda k: link_vanishing(closure(SINGLE), k)):
+            with pytest.raises(InvariantError, match=re.escape(message)):
+                ask(bad)
+    assert milnor_table(SINGLE, np.int64(1)) == milnor_table(SINGLE, 1)
 
 
 def test_k_equal_modes_agree_on_random_pairs():

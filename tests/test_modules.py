@@ -1,6 +1,7 @@
 """Import and export discipline of the package modules."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -87,7 +88,7 @@ def test_all_names_exist(path):
 )
 def test_is_attributes_are_properties(path):
     """A predicate left as a method is truthy as a bound method, so
-    ``assert w.is_identity`` would pass for any word."""
+    ``assert s.is_one`` would pass for any series."""
     module = importlib.import_module(f"weldmag.{path.stem}")
     problems = []
     for name in module.__all__:
@@ -120,36 +121,82 @@ KEPT = {
     "series_from_terms": "the one way to build a series from given terms",
     "r_index": "the paper's r(I), the largest multiplicity in an index",
     "closure": "the paper's link case: a string link closed up",
+    "power": "the group power by repeated squaring, for the large exponents of tests and demos",
 }
 
+# Public class members with no reader in the package, the README or the
+# benchmark, each kept for its own reason.
+KEPT_MEMBERS = {
+    "TruncatedSeries.is_one": "the documented membership test of J^k",
+}
 
-def _referenced_names(path, bare=True):
-    """The attributes a file reads, and the bare names it reads when bare,
-    else only those it imports from the package."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+BENCHMARK = sorted((ROOT / "benchmark").glob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced_names(path, package=True):
+    """The attributes a file reads, and the bare names it reads that it
+    imports from the package or, in a package module, defines at module
+    level.  A benchmark file's own functions are not the package's."""
+    tree = _tree(path)
+    own = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and package:
+            own.add(node.name)
+        elif isinstance(node, ast.ImportFrom) and _imports_weldmag(node):
+            own.update(alias.asname or alias.name for alias in node.names)
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             names.add(node.attr)
-        elif isinstance(node, ast.Name) and bare:
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in own:
             names.add(node.id)
-        elif isinstance(node, ast.ImportFrom) and not bare and _imports_weldmag(node):
-            names.update(alias.name for alias in node.names)
     return names
 
 
+def _readme_code_words():
+    """The words of the README's fenced blocks and backtick spans."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    spans = re.findall(r"^```.*?^```|`[^`\n]+`", text, flags=re.S | re.M)
+    return set(re.findall(r"\w+", " ".join(spans)))
+
+
+def _exported_classes():
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"weldmag.{path.stem}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj):
+                yield name, obj
+
+
+def _public_members(cls):
+    """The methods, properties and dataclass fields a class defines or
+    inherits from a package class, without underscore names."""
+    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    for klass in cls.__mro__:
+        if klass.__module__.startswith("weldmag."):
+            names.update(klass.__dict__)
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_public_name_has_a_caller():
-    """A name in a module's __all__ is used in the package, shown in the
-    README or called by the benchmark, or is listed in KEPT with its reason.
-    Tests and demos do not count: a name only they call is a second way to
-    do what the names they compose already do.  A benchmark file's own
-    functions are not the package's, so there only attributes and names
-    imported from the package count."""
+    """A name in a module's __all__ is used in the package, shown in a code
+    span of the README or called by the benchmark, or is listed in KEPT with
+    its reason.  Tests and demos do not count: a name only they call is a
+    second way to do what the names they compose already do.  A bare name
+    counts only where it is imported from the package or defined, so a
+    local variable of the same name does not."""
     called = set().union(
         *(_referenced_names(p) for p in MODULES),
-        *(_referenced_names(p, bare=False) for p in sorted((ROOT / "benchmark").glob("*.py"))),
+        *(_referenced_names(p, package=False) for p in BENCHMARK),
     )
-    readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    readme = _readme_code_words()
     exported = {
         name
         for path in MODULES
@@ -160,3 +207,32 @@ def test_every_public_name_has_a_caller():
     uncalled = sorted(exported - called - readme - KEPT.keys())
     assert not uncalled, uncalled
     assert not KEPT.keys() & (called | readme), "a kept name has a caller now"
+
+
+def test_every_public_member_has_a_caller():
+    """A method, property or field of an exported class is read as an
+    attribute in the package or the benchmark, or shown in a code span of
+    the README, or is listed in KEPT_MEMBERS with its reason.  A member only
+    tests read is a stored or derived value nothing needs."""
+    read = set()
+    for path in MODULES + BENCHMARK:
+        read.update(
+            node.attr
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    readme = _readme_code_words()
+    members = {
+        f"{name}.{member}": member
+        for name, cls in _exported_classes()
+        for member in _public_members(cls)
+    }
+    assert KEPT_MEMBERS.keys() <= members.keys()
+    unread = sorted(
+        key for key, member in members.items()
+        if member not in read | readme and key not in KEPT_MEMBERS
+    )
+    assert not unread, unread
+    assert not [key for key in KEPT_MEMBERS if members[key] in read | readme], (
+        "a kept member has a reader now"
+    )

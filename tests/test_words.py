@@ -1,4 +1,7 @@
 import random
+import re
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,7 @@ def rand_word(rng, rank, maxlen):
 
 def test_reduce_examples():
     w = word_from_letters(2, [1, -1])
-    assert w.is_identity
+    assert w == empty(2) and not w.runs
     w = word_from_letters(2, [1, 2, -2, -1, 2])
     assert list(w.letters()) == [2]
     # runs merge: a1 a1 A1 a2 -> a1 a2
@@ -43,6 +46,19 @@ def test_word_validation():
         Word(2, ((1, 0),))
     with pytest.raises(WordError):
         Word(0, ())
+    # a float or a string is refused by name, not kept as a rank or raised
+    # later as a bare TypeError; numpy integers are stored as ints
+    for rank, runs, bad in (
+        (2.0, (), "rank must be an integer, got 2.0"),
+        ("2", (), "rank must be an integer, got '2'"),
+        (2, ((1, 1.5),), "multiplicity must be an integer, got 1.5"),
+        (2, ((1.0, 1),), "generator must be an integer, got 1.0"),
+    ):
+        with pytest.raises(WordError, match=re.escape(bad)):
+            Word(rank, runs)
+    w = Word(np.int64(2), ((np.int32(1), np.int8(-2)),))
+    assert w == parse_word("A1 A1", 2)
+    assert all(type(x) is int for x in (w.rank, *w.runs[0]))
 
 
 def test_words_hold_reduced_runs_only():
@@ -82,7 +98,7 @@ def test_parse_errors_name_token():
 def test_multiply_reduce_invert():
     a = parse_word("a1 a2", 2)
     b = parse_word("A2 A1", 2)
-    assert multiply(a, b).is_identity
+    assert multiply(a, b) == empty(2)
     assert invert(a) == b
     assert multiply(a, invert(a), a) == a
     with pytest.raises(WordError):
@@ -93,7 +109,7 @@ def test_power():
     a = parse_word("a1", 2)
     assert power(a, 3) == parse_word("a1 a1 a1", 2)
     assert power(a, -2) == parse_word("A1 A1", 2)
-    assert power(a, 0).is_identity
+    assert power(a, 0) == empty(2)
 
 
 def test_conjugate_commutator_conventions():
