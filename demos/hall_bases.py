@@ -54,5 +54,5 @@ w = parse_word("A1 a2 a1 A3 A2 A2 A1 A2 a3 a2 a1 a3 a3 a2 a2 A1 a2 A1 A3 a2", 3)
 exps, certified = hall_factorize(w, 6)
 big = max(zip(exps, generate_basic(3, 6)), key=lambda pair: abs(pair[0]))
 print("20-letter word, rank 3, length <= 6:")
-print(f"  {sum(1 for e in exps if e)} nonzero exponents, largest {big[0]:+d} on {big[1].bracket()}")
+print(f"  {sum(1 for e in exps if e)} nonzero exponents, largest {big[0]:+d} on {big[1].bracket}")
 print("  certified:", certified)

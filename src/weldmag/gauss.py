@@ -443,7 +443,11 @@ def cut(link: LinkCode, basepoints: Sequence[int] | None = None) -> StringLinkCo
     """
     if basepoints is None:
         basepoints = [0] * link.n
-    if len(basepoints) != link.n:
+    try:
+        count = len(basepoints)
+    except TypeError:
+        raise GaussCodeError(f"basepoints must be a sequence, got {basepoints!r}") from None
+    if count != link.n:
         raise GaussCodeError("need one basepoint per component")
     comps = []
     for comp, b in zip(link.components, basepoints):

@@ -76,8 +76,8 @@ class BasicCommutator:
 
     Leaves have ``generator`` set; inner nodes carry ``left``/``right``.
     ``entries`` counts how many times each generator occurs, which bounds
-    which quotients the commutator can see.  ``text`` is the bracket
-    string, formed once from the children's.
+    which quotients the commutator can see.  ``bracket`` is the nested
+    bracket string, e.g. ``[[a1,a2],a2]``, formed once from the children's.
     """
 
     ordinal: int
@@ -87,14 +87,10 @@ class BasicCommutator:
     right: "BasicCommutator | None"
     word: Word
     entries: tuple[int, ...]
-    text: str
-
-    def bracket(self) -> str:
-        """Nested bracket string, e.g. ``[[a1,a2],a2]``."""
-        return self.text
+    bracket: str
 
     def __repr__(self) -> str:
-        return f"BasicCommutator({self.ordinal}: {self.bracket()})"
+        return f"BasicCommutator({self.ordinal}: {self.bracket})"
 
 
 @lru_cache(maxsize=None)
@@ -122,8 +118,8 @@ def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
         for c, d in candidates:
             word = words.commutator(c.word, d.word)
             entries = tuple(a + b for a, b in zip(c.entries, d.entries))
-            text = f"[{c.text},{d.text}]"
-            out.append(BasicCommutator(len(out), length, None, c, d, word, entries, text))
+            bracket = f"[{c.bracket},{d.bracket}]"
+            out.append(BasicCommutator(len(out), length, None, c, d, word, entries, bracket))
         by_len.append(out[len(out) - len(candidates) :])
     return tuple(out)
 
@@ -326,5 +322,5 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
                     factor = _product(u, b)
                     factor[0] = 1
                     rem = series_mul(TruncatedSeries(policy, factor), rem)
-    certified = not any(rem.degree_block_nonzero(d) for d in range(1, k + 1))
+    certified = not any(rem.degree_block(d).any() for d in range(1, k + 1))
     return exps, certified

@@ -147,9 +147,6 @@ class InvariantTable:
     def format_lines(self) -> list[str]:
         return [f"mu({','.join(map(str, I))}) = {v}" for I, v in self.items_sorted()]
 
-    def to_json_obj(self) -> list[dict]:
-        return [{"I": list(I), "mu": v} for I, v in self.items_sorted()]
-
     def first_difference(
         self, other: "InvariantTable"
     ) -> tuple[tuple[int, ...], int, int] | None:

@@ -440,9 +440,6 @@ class TruncatedSeries:
         block.flags.writeable = False
         return block
 
-    def degree_block_nonzero(self, d: int) -> bool:
-        return bool((self.degree_block(d) != 0).any())
-
     def agrees_through_degree(self, other: "TruncatedSeries", d: int) -> bool:
         """True if the two series have equal coefficients in all degrees <= d."""
         if self.policy != other.policy:

@@ -95,7 +95,14 @@ class Word:
         rank = _integer(self.rank, "rank")
         if rank < 1:
             raise WordError(f"rank must be positive, got {rank}")
-        runs = tuple((_integer(g, "generator"), _integer(m, "multiplicity")) for g, m in self.runs)
+        try:
+            runs = tuple((_integer(g, "generator"), _integer(m, "multiplicity"))
+                         for g, m in self.runs)
+        except WordError:
+            raise
+        except (TypeError, ValueError):
+            raise WordError(
+                f"runs must be (generator, multiplicity) pairs, got {self.runs!r}") from None
         previous = None
         for gen, mult in runs:
             if not 1 <= gen <= rank:

@@ -298,6 +298,18 @@ def test_memory_error_exits_2_without_output(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_action_failing_late_exits_2_without_output(capsys, monkeypatch):
+    """The text answer starts with a header known before the residues are
+    formed; nothing of it is written when forming them fails."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(invariants, "_residues", exhausted)
+    for argv in (["action", SINGLE, "--k", "1"], ["action", SINGLE, "--k", "1", "--json"]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", "error: out of memory\n"), argv
+
+
 def test_code_argument_reads_files(capsys, tmp_path):
     path = tmp_path / "code.gauss"
     path.write_text("1: U1+\n2: O1+\n")

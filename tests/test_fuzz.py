@@ -103,29 +103,44 @@ CODE_TEXTS = (
     "1: O1+",
     "",
 )
+REALIZERS = ("1: a2 / 2: -", "1: a2 A3 A2 a3 / 2: - / 3: -", "1: a3 / 2: -", "1: A1 / 2: a1", "")
 # no digits in free text: a free-form number could ask for an unaffordable
 # quotient
 NOISE = st.text("OU+-:/ \n", max_size=12)
 
 
 # the values of each option that takes one; an option may be drawn for a
-# subcommand that does not take it
+# subcommand that does not take it.  Every integer is at most 3, wherever a
+# permutation puts it, so no question is unaffordable; -o is not drawn.
 OPTION_VALUES = {
     "--k": ("1", "2", "1", "2", "0", "-1", "x"),
     "--max-len": ("1", "2", "1", "2", "0", "-1", "x"),
     "--mode": ("table", "longitude", "action", "x"),
     "--index": ("2,1", "1,2,1", "1", "9,1", "-1,2", "x"),
     "--basepoints": ("0,0", "1,0,2", "2", "-1,0", "x"),
+    "--rank": ("1", "2", "3", "0", "-1", "x"),
+    "--factor": ("a1 a2 A1 A2", "a2 a1", "a3", "", "x"),
+    "--kind": (*MOVE_KINDS, "x"),
+    "--apply": ("-1", "0", "1", "2", "3", "x"),
     "--json": (),
 }
+COMMANDS = ("table", "compare", "action", "milnor", "link-vanishing", "hall", "realize", "moves")
 
 
 @st.composite
 def argvs(draw):
-    """A subcommand, its code arguments and options, with a bad value or a
-    stray token now and then, in any order."""
-    command = draw(st.sampled_from(("table", "compare", "action", "milnor", "link-vanishing")))
-    args = [draw(st.sampled_from(CODE_TEXTS)) for _ in range(2 if command == "compare" else 1)]
+    """A subcommand, its positional arguments, required options and other
+    options, with a bad value or a stray token now and then, in any order."""
+    command = draw(st.sampled_from(COMMANDS))
+    if command == "hall":  # its two required options, then any others
+        args = [opt for name in ("--rank", "--max-len")
+                for opt in (name, draw(st.sampled_from(OPTION_VALUES[name])))]
+    elif command == "realize":
+        args = [draw(st.sampled_from(REALIZERS))]
+    else:
+        args = [draw(st.sampled_from(CODE_TEXTS)) for _ in range(2 if command == "compare" else 1)]
+    if command == "moves":
+        args += ["--kind", draw(st.sampled_from(OPTION_VALUES["--kind"]))]
     options = draw(st.lists(st.sampled_from(sorted(OPTION_VALUES)), max_size=3))
     for opt in options:
         args.append(opt)

@@ -216,6 +216,8 @@ def test_closure_and_cut():
     for bad in (1.5, "1"):
         with pytest.raises(GaussCodeError, match=f"basepoint must be an integer, got {bad!r}"):
             cut(link, [bad, 0])
+    with pytest.raises(GaussCodeError, match="basepoints must be a sequence, got 3"):
+        cut(link, 3)
 
 
 def test_passage_tokens():

@@ -17,7 +17,7 @@ from weldmag.words import Word, empty, generator, invert, multiply, power, word_
 
 
 def brackets(n, max_len):
-    return [c.bracket() for c in generate_basic(n, max_len)]
+    return [c.bracket for c in generate_basic(n, max_len)]
 
 
 def test_counts_match_witt_numbers():
@@ -53,8 +53,8 @@ def test_order_and_bracket_strings():
     ]
     # each bracket string is its children's, and repr shows it
     for c in generate_basic(3, 5):
-        want = f"a{c.generator}" if c.length == 1 else f"[{c.left.bracket()},{c.right.bracket()}]"
-        assert c.bracket() == want and repr(c) == f"BasicCommutator({c.ordinal}: {want})"
+        want = f"a{c.generator}" if c.length == 1 else f"[{c.left.bracket},{c.right.bracket}]"
+        assert c.bracket == want and repr(c) == f"BasicCommutator({c.ordinal}: {want})"
     # ordinals are just positions, and lengths never decrease
     basis = generate_basic(3, 4)
     assert [c.ordinal for c in basis] == list(range(len(basis)))
@@ -111,7 +111,7 @@ def test_principal_part_multiplicities_and_nonvanishing():
         pol = TruncationPolicy.total_degree(n, 4)
         for c in generate_basic(n, 4):
             terms = principal_terms(c, pol)
-            assert terms, c.bracket()
+            assert terms, c.bracket
             for m in terms:
                 assert len(m) == c.length
                 counts = Counter(m)
@@ -179,7 +179,7 @@ def test_factorize_basis_elements_give_indicator_vectors():
             exps, certified = hall_factorize(w, 4)
             want = [0] * len(basis)
             want[j] = sign
-            assert exps == want, c.bracket()
+            assert exps == want, c.bracket
             assert certified
 
 

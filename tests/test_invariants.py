@@ -101,7 +101,6 @@ def test_table_trivial_and_single():
     t = milnor_table(SINGLE, 1)
     assert t.entries == {(2, 1): 1}
     assert t.format_lines() == ["mu(2,1) = 1"]
-    assert t.to_json_obj() == [{"I": [2, 1], "mu": 1}]
 
 
 def test_table_filters_and_ordering():

@@ -236,3 +236,23 @@ def test_every_public_member_has_a_caller():
     assert not [key for key in KEPT_MEMBERS if members[key] in read | readme], (
         "a kept member has a reader now"
     )
+
+
+def test_only_cli_main_writes():
+    """The subcommand handlers of cli.py return their answer and main alone
+    writes it, so an error cannot leave part of an answer behind: no other
+    function calls print, open or a write method (a source file is read
+    with read_text)."""
+    problems = []
+    for func in ast.walk(_tree(SRC / "cli.py")):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id in ("print", "open")) or (
+                isinstance(f, ast.Attribute) and f.attr.startswith("write")
+            ):
+                problems.append(f"line {node.lineno}: {func.name} calls {ast.unparse(f)}")
+    assert not problems, problems

@@ -46,13 +46,17 @@ def test_word_validation():
         Word(2, ((1, 0),))
     with pytest.raises(WordError):
         Word(0, ())
-    # a float or a string is refused by name, not kept as a rank or raised
-    # later as a bare TypeError; numpy integers are stored as ints
+    # a float, a string or a run that is not a pair is refused by name, not
+    # kept as a rank or raised later as a bare TypeError; numpy integers are
+    # stored as ints
     for rank, runs, bad in (
         (2.0, (), "rank must be an integer, got 2.0"),
         ("2", (), "rank must be an integer, got '2'"),
         (2, ((1, 1.5),), "multiplicity must be an integer, got 1.5"),
         (2, ((1.0, 1),), "generator must be an integer, got 1.0"),
+        (2, ((1,),), "runs must be (generator, multiplicity) pairs, got ((1,),)"),
+        (2, (1,), "runs must be (generator, multiplicity) pairs, got (1,)"),
+        (2, 5, "runs must be (generator, multiplicity) pairs, got 5"),
     ):
         with pytest.raises(WordError, match=re.escape(bad)):
             Word(rank, runs)
