@@ -103,13 +103,13 @@ def node(left: CommTree, right: CommTree, twist: int = 1) -> CommTree:
 def tree_word(t: CommTree, rank: int) -> Word:
     """The word in F_rank spelled by a tree: leaves give (possibly inverted,
     possibly conjugated) generators, nodes give commutators of their
-    children."""
+    children.  A leaf conjugator of another rank raises WordError."""
 
     def go(s: CommTree) -> Word:
         if s.is_leaf:
             w = Word(rank, ((s.generator, s.twist),))
-            if s.conjugator is not None and len(s.conjugator):
-                w = conjugate(w, Word(rank, s.conjugator.runs))
+            if s.conjugator is not None:
+                w = conjugate(w, s.conjugator)
             return w
         w = commutator(go(s.left), go(s.right))
         return invert(w) if s.twist < 0 else w

@@ -198,11 +198,7 @@ def _degree_solver(n: int, d: int):
     so the unknowns split into one block per count vector.
     """
     basis = [c for c in generate_basic(n, d) if c.length == d]
-    # at k = d each u_c of _powers is its degree-d block, the principal part
-    # of C_c, and that block is the last n^d of the policy's monomials
-    rows, cols, vals, nrows, _ = _powers(n, d, d)
-    principal = np.zeros((n**d, len(basis)), dtype=np.int64)
-    principal[rows - (nrows - n**d), cols] = vals
+    principal = np.stack([u.degree_block(d) for u in _units(n, d, d)], axis=1)
     by_entries: dict[tuple[int, ...], list[int]] = {}
     for j, c in enumerate(basis):
         by_entries.setdefault(c.entries, []).append(j)
@@ -262,16 +258,22 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 
 
 @lru_cache(maxsize=None)
-def _powers(n: int, k: int, d: int) -> tuple:
-    """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) for each
-    length-d basic commutator C_c in order, u_c = expand(C_c) - 1 at total
-    degree k.  _degree_solver(n, d) reads its columns off _powers(n, d, d)."""
+def _units(n: int, k: int, d: int) -> tuple[TruncatedSeries, ...]:
+    """u_c = expand(C_c) - 1 at total degree k for each length-d basic
+    commutator C_c in order; its degree-d block is C_c's principal part."""
     policy = TruncationPolicy.total_degree(n, k)
+    return tuple(expand(c.word, policy) - series_one(policy) for c in generate_basic(n, d) if c.length == d)
+
+
+@lru_cache(maxsize=None)
+def _powers(n: int, k: int, d: int) -> tuple:
+    """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) of each
+    _units(n, k, d) in order."""
     cols = []
-    for c in (c for c in generate_basic(n, d) if c.length == d):
-        p = [expand(c.word, policy) - series_one(policy)]
+    for u in _units(n, k, d):
+        p = [u]
         while len(p) < k // d:
-            p.append(series_mul(p[-1], p[0]))
+            p.append(series_mul(p[-1], u))
         cols += [np.concatenate([s.degree_block(e) for e in range(k + 1)]) for s in p]
     return _sparse(np.stack(cols, axis=1))
 

@@ -87,19 +87,24 @@ def r_index(I: Sequence[int]) -> int:
     return max(I.count(j) for j in set(I))
 
 
+def _integer(value: object, what: str) -> int:
+    """value as an int, for ints and numpy integers only."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvariantError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _level(k: int) -> int:
     """The level k as an int, at least 1."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise InvariantError(f"k must be an integer, got {k!r}") from None
+    k = _integer(k, "k")
     if k < 1:
         raise InvariantError(f"k must be >= 1, got {k}")
     return k
 
 
 def _check_index(I: Sequence[int], n: int) -> tuple[int, ...]:
-    I = tuple(int(j) for j in I)
+    I = tuple(_integer(j, "index entry") for j in I)
     if not I:
         raise InvariantError("empty index sequence")
     for j in I:
@@ -175,7 +180,7 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     at n=4, k=2), not the n^(n*k) index tuples of length up to n*k.
     """
     k, n = _level(k), L.n
-    cap = n * k if max_len is None else min(max_len, n * k)
+    cap = n * k if max_len is None else min(_integer(max_len, "max_len"), n * k)
     if cap < 2:
         return InvariantTable(k=k, max_len=cap)
     return _read_table(longitude_series(L, policy=_table_policy(n, k, cap)), k, cap)

@@ -668,6 +668,7 @@ def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int)
 def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
     """s * (1 + X_v)^mult, or (1 + X_v)^mult * s when ``left``: the Magnus
     image of a_v^mult applied by letter shifts, with no product."""
+    v, mult = _integer(v, "variable"), _integer(mult, "multiplicity")
     if not 1 <= v <= s.policy.rank:
         raise MagnusError(f"variable {v} out of range 1..{s.policy.rank}")
     space = _space(s.policy)
@@ -766,10 +767,6 @@ class Substitution:
         self._start[0], self._stop[0], self._norms[0] = 0, 1, 1.0
         self._indices = np.zeros(1, dtype=np.int32)
         self._values = np.ones(1, dtype=np.int64)
-
-    def __len__(self) -> int:
-        """Number of monomial images formed so far, the constant included."""
-        return int((self._start >= 0).sum())
 
     @cached_property
     def _operator(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

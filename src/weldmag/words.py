@@ -8,7 +8,10 @@ because iterated conjugation, the bread and butter of longitude computations,
 produces long repetitive words.
 
 Every word carries its ambient rank and all binary operations check it;
-silent rank coercion hides diagram bugs downstream.
+silent rank coercion hides diagram bugs downstream.  A word is checked once,
+where it is built from outside data (``Word(...)``, :func:`generator`,
+:func:`word_from_letters`, :func:`parse_word`); the group operations build
+their results from the runs of checked words and check them no further.
 
 Conventions (fixed once, used everywhere):
 
@@ -129,6 +132,13 @@ class Word:
         return f"Word({self.rank}, {format_word(self)!r})"
 
 
+def _unchecked(rank: int, runs: tuple[tuple[int, int], ...]) -> Word:
+    """A Word of reduced, in-range runs built from checked words of this rank."""
+    w = object.__new__(Word)
+    w.__dict__.update(rank=rank, runs=runs)
+    return w
+
+
 def empty(rank: int) -> Word:
     """The identity of F_rank."""
     return Word(rank, ())
@@ -136,8 +146,6 @@ def empty(rank: int) -> Word:
 
 def generator(rank: int, index: int) -> Word:
     """The generator a_index as a word."""
-    if not 1 <= index <= rank:
-        raise WordError(f"generator a{index} out of range for rank {rank}")
     return Word(rank, ((index, 1),))
 
 
@@ -151,37 +159,27 @@ def word_from_letters(rank: int, letters: Iterable[int]) -> Word:
     return Word(rank, _merge_runs(runs))
 
 
-def _check_ranks(*ws: Word) -> int:
-    rank = ws[0].rank
-    for w in ws[1:]:
-        if w.rank != rank:
-            raise WordError(f"rank mismatch: {rank} vs {w.rank}")
-    return rank
-
-
 def multiply(*ws: Word) -> Word:
-    """Reduced product of one or more words, left to right."""
+    """Reduced product of one or more words of one rank, left to right."""
     if not ws:
         raise WordError("multiply needs at least one word")
-    rank = _check_ranks(*ws)
+    rank = ws[0].rank
     runs: list[tuple[int, int]] = []
     for w in ws:
+        if w.rank != rank:
+            raise WordError(f"rank mismatch: {rank} vs {w.rank}")
         runs.extend(w.runs)
-    return Word(rank, _merge_runs(runs))
+    return _unchecked(rank, _merge_runs(runs))
 
 
 def invert(w: Word) -> Word:
     """Group inverse: reversed runs with negated multiplicities."""
-    return Word(w.rank, tuple((g, -m) for g, m in reversed(w.runs)))
+    return _unchecked(w.rank, tuple((g, -m) for g, m in reversed(w.runs)))
 
 
 def power(w: Word, e: int) -> Word:
     """w**e for any integer e."""
-    if e == 0 or not w.runs:
-        return empty(w.rank)
-    if len(w.runs) == 1:
-        g, m = w.runs[0]
-        return Word(w.rank, ((g, m * e),))
+    e = _integer(e, "exponent")
     base = w if e > 0 else invert(w)
     out = empty(w.rank)
     sq, m = base, abs(e)
@@ -196,13 +194,11 @@ def power(w: Word, e: int) -> Word:
 
 def conjugate(x: Word, y: Word) -> Word:
     """x^y = ȳ x y."""
-    _check_ranks(x, y)
     return multiply(invert(y), x, y)
 
 
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x ȳ x̄ y."""
-    _check_ranks(x, y)
     return multiply(x, invert(y), invert(x), y)
 
 

@@ -8,6 +8,7 @@ tricks.  Slow but obviously correct.
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,6 +112,23 @@ def substitute(s, conjugators, q, caps=None):
             term = mul(term, factors[v], q, caps)
         out = add(out, {mm: c * cc for mm, cc in term.items()})
     return clean(out, q, caps)
+
+
+def exact_rank(rows):
+    """Rank of an integer matrix, by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank, cols = 0, len(m[0]) if m else 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                f = m[r][col] / m[rank][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
 
 
 def witt(n, d):

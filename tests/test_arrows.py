@@ -20,6 +20,7 @@ from weldmag.invariants import milnor_table
 from weldmag.magnus import TruncationPolicy, expand
 from weldmag.words import (
     Word,
+    WordError,
     commutator,
     conjugate,
     empty,
@@ -58,6 +59,12 @@ def test_tree_word_degree_four_example():
         commutator(conjugate(d, multiply(e, c)), e),
     )
     assert tree_word(tc, rank=5) == want
+
+
+def test_tree_word_refuses_a_conjugator_of_another_rank():
+    for conj in (generator(3, 2), empty(3)):
+        with pytest.raises(WordError, match="rank mismatch"):
+            tree_word(node(leaf(1, conjugator=conj), leaf(2)), rank=2)
 
 
 def test_tree_word_twist_inverts_subtree():

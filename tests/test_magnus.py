@@ -571,7 +571,7 @@ def test_substitution_on_python_int_codes_matches_oracle():
     for ds in ({(1,) * 30: 2, (1,) * 31: -1}, {(1,): 5, (1,) * 10: -3, (1,) * 62: 4}):
         got = sub(series_from_terms(policy, ds))
         assert as_dict(got) == oracle.substitute(ds, [dconj], q, policy.caps)
-    assert len(sub) == 63
+    assert int((sub._start >= 0).sum()) == 63
 
 
 def test_substitution_object_path_matches_oracle():

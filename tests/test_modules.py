@@ -256,3 +256,25 @@ def test_only_cli_main_writes():
             ):
                 problems.append(f"line {node.lineno}: {func.name} calls {ast.unparse(f)}")
     assert not problems, problems
+
+
+def test_no_word_is_checked_again():
+    """A Word is checked where it is built from outside data; the helpers
+    of words.py build from runs that are already checked.  So outside
+    words.py no Word(...) call reads another word's runs: it would check a
+    checked word again, and could change its rank."""
+    problems = []
+    for path in (p for p in MODULES if p.name != "words.py"):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if not (isinstance(f, ast.Name) and f.id == "Word") and not (
+                isinstance(f, ast.Attribute) and f.attr == "Word"
+            ):
+                continue
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(a, ast.Attribute) and a.attr == "runs"
+                   for arg in args for a in ast.walk(arg)):
+                problems.append(f"{path.name} line {node.lineno}: {ast.unparse(node)}")
+    assert not problems, problems

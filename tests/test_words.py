@@ -105,8 +105,9 @@ def test_multiply_reduce_invert():
     assert multiply(a, b) == empty(2)
     assert invert(a) == b
     assert multiply(a, invert(a), a) == a
-    with pytest.raises(WordError):
-        multiply(a, empty(3))
+    for op in (multiply, conjugate, commutator):
+        with pytest.raises(WordError, match="rank mismatch"):
+            op(a, empty(3))
 
 
 def test_power():
@@ -114,6 +115,8 @@ def test_power():
     assert power(a, 3) == parse_word("a1 a1 a1", 2)
     assert power(a, -2) == parse_word("A1 A1", 2)
     assert power(a, 0) == empty(2)
+    with pytest.raises(WordError, match=re.escape("exponent must be an integer, got 2.0")):
+        power(a, 2.0)
 
 
 def test_conjugate_commutator_conventions():
@@ -148,3 +151,30 @@ def test_invert_antihomomorphism(ls1, ls2):
     v = word_from_letters(3, ls2)
     assert invert(multiply(u, v)) == multiply(invert(v), invert(u))
     assert invert(invert(u)) == u
+
+
+@st.composite
+def words_of_one_rank(draw, count):
+    rank = draw(st.integers(min_value=1, max_value=4))
+    letters = st.lists(st.integers(min_value=-rank, max_value=rank).filter(bool), max_size=12)
+    return [word_from_letters(rank, draw(letters)) for _ in range(count)]
+
+
+@given(words_of_one_rank(3), st.integers(min_value=-6, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_group_operations_build_checked_words(ws, e):
+    """The group operations build their results without a check; the
+    checked constructor accepts each result and builds the same word."""
+    x, y, z = ws
+    for r in (multiply(x, y, z), invert(x), power(x, e), power(multiply(x, y), e),
+              conjugate(x, y), commutator(x, y)):
+        assert Word(r.rank, r.runs) == r
+
+
+def test_generator_is_checked_as_a_word():
+    for rank, index, bad in ((0, 1, "rank must be positive, got 0"),
+                             (2, 3, "generator a3 out of range for rank 2"),
+                             (2, 1.5, "generator must be an integer, got 1.5"),
+                             (2, "1", "generator must be an integer, got '1'")):
+        with pytest.raises(WordError, match=re.escape(bad)):
+            generator(rank, index)
