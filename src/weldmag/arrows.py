@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .gauss import Passage, StringLinkCode, numbered_lines
-from .words import Word, commutator, conjugate, invert, parse_word
+from .words import Word, commutator, conjugate, integer, invert, parse_word
 
 __all__ = [
     "ArrowError",
@@ -72,7 +72,7 @@ class CommTree:
         if self.generator is not None:
             if self.left is not None or self.right is not None:
                 raise ArrowError("a leaf cannot have children")
-            if self.generator < 1:
+            if integer(self.generator, "generator", ArrowError) < 1:
                 raise ArrowError(f"generator index {self.generator} out of range")
         else:
             if self.left is None or self.right is None:

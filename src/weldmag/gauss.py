@@ -39,12 +39,12 @@ From a code the module derives:
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .magnus import TruncationPolicy, TruncatedSeries, mul_letter, series_mul, series_one
+from .words import integers
 
 __all__ = [
     "GaussCodeError",
@@ -441,20 +441,12 @@ def cut(link: LinkCode, basepoints: Sequence[int] | None = None) -> StringLinkCo
     starting at that passage index.  Offsets default to 0 and must satisfy
     0 <= b < max(1, length).
     """
-    if basepoints is None:
-        basepoints = [0] * link.n
-    try:
-        count = len(basepoints)
-    except TypeError:
-        raise GaussCodeError(f"basepoints must be a sequence, got {basepoints!r}") from None
-    if count != link.n:
+    basepoints = integers((0,) * link.n if basepoints is None else basepoints,
+                          "basepoints", GaussCodeError)
+    if len(basepoints) != link.n:
         raise GaussCodeError("need one basepoint per component")
     comps = []
     for comp, b in zip(link.components, basepoints):
-        try:
-            b = operator.index(b)
-        except TypeError:
-            raise GaussCodeError(f"basepoint must be an integer, got {b!r}") from None
         limit = max(1, len(comp))
         if not 0 <= b < limit:
             raise GaussCodeError(f"basepoint {b} out of range for component of length {len(comp)}")

@@ -96,6 +96,7 @@ class BasicCommutator:
 @lru_cache(maxsize=None)
 def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
     """All basic commutators of length <= max_len over a1..an, in order."""
+    n, max_len = words.integer(n, "rank", HallError), words.integer(max_len, "max_len", HallError)
     if n < 1:
         raise HallError(f"rank must be positive, got {n}")
     if max_len < 1:
@@ -187,6 +188,15 @@ def _product(a: tuple, v: np.ndarray) -> np.ndarray:
     return scatter_sum(nrows, rows, v[cols], vals, norm * int(np.abs(v).max(initial=0)))
 
 
+def _principal(c: BasicCommutator, n: int) -> np.ndarray:
+    """C's principal part, the degree-|C| block of its Magnus expansion in
+    lex order: X_g for a_g, and P(D) P(C) - P(C) P(D) for [C, D] = C D̄ C̄ D."""
+    if c.generator is not None:
+        return np.eye(n, dtype=np.int64)[c.generator - 1]
+    left, right = _principal(c.left, n), _principal(c.right, n)
+    return np.outer(right, left).ravel() - np.outer(left, right).ravel()
+
+
 @lru_cache(maxsize=None)
 def _degree_solver(n: int, d: int):
     """Exact solver for the degree-d principal-part system.
@@ -198,7 +208,7 @@ def _degree_solver(n: int, d: int):
     so the unknowns split into one block per count vector.
     """
     basis = [c for c in generate_basic(n, d) if c.length == d]
-    principal = np.stack([u.degree_block(d) for u in _units(n, d, d)], axis=1)
+    principal = np.stack([_principal(c, n) for c in basis], axis=1)
     by_entries: dict[tuple[int, ...], list[int]] = {}
     for j, c in enumerate(basis):
         by_entries.setdefault(c.entries, []).append(j)
@@ -258,22 +268,15 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 
 
 @lru_cache(maxsize=None)
-def _units(n: int, k: int, d: int) -> tuple[TruncatedSeries, ...]:
-    """u_c = expand(C_c) - 1 at total degree k for each length-d basic
-    commutator C_c in order; its degree-d block is C_c's principal part."""
-    policy = TruncationPolicy.total_degree(n, k)
-    return tuple(expand(c.word, policy) - series_one(policy) for c in generate_basic(n, d) if c.length == d)
-
-
-@lru_cache(maxsize=None)
 def _powers(n: int, k: int, d: int) -> tuple:
-    """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) of each
-    _units(n, k, d) in order."""
+    """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) of each length-d
+    basic commutator C_c in order, u_c = expand(C_c) - 1 at total degree k."""
+    policy = TruncationPolicy.total_degree(n, k)
     cols = []
-    for u in _units(n, k, d):
-        p = [u]
+    for c in (c for c in generate_basic(n, d) if c.length == d):
+        p = [expand(c.word, policy) - series_one(policy)]
         while len(p) < k // d:
-            p.append(series_mul(p[-1], u))
+            p.append(series_mul(p[-1], p[0]))
         cols += [np.concatenate([s.degree_block(e) for e in range(k + 1)]) for s in p]
     return _sparse(np.stack(cols, axis=1))
 
@@ -297,6 +300,7 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     at 2d > k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no product.
     ``certified`` reads the remainder's degree blocks 1..k.
     """
+    k = words.integer(k, "k", HallError)
     if k < 1:
         raise HallError(f"k must be at least 1, got {k}")
     n = w.rank

@@ -40,7 +40,6 @@ every round for every conjugator and then to the composition phi then psi.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -54,6 +53,7 @@ from .magnus import (
     series_mul,
     series_one,
 )
+from .words import integer, integers
 
 __all__ = [
     "InvariantError",
@@ -82,29 +82,22 @@ class InversionError(RuntimeError):
 
 def r_index(I: Sequence[int]) -> int:
     """Largest multiplicity of any component index in I."""
+    I = integers(I, "index", InvariantError)
     if not I:
         raise InvariantError("empty index sequence")
     return max(I.count(j) for j in set(I))
 
 
-def _integer(value: object, what: str) -> int:
-    """value as an int, for ints and numpy integers only."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvariantError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _level(k: int) -> int:
-    """The level k as an int, at least 1."""
-    k = _integer(k, "k")
-    if k < 1:
-        raise InvariantError(f"k must be >= 1, got {k}")
-    return k
+def _at_least(value: int, what: str, low: int) -> int:
+    """value as an int, at least low."""
+    value = integer(value, what, InvariantError)
+    if value < low:
+        raise InvariantError(f"{what} must be >= {low}, got {value}")
+    return value
 
 
 def _check_index(I: Sequence[int], n: int) -> tuple[int, ...]:
-    I = tuple(_integer(j, "index entry") for j in I)
+    I = integers(I, "index", InvariantError)
     if not I:
         raise InvariantError("empty index sequence")
     for j in I:
@@ -167,7 +160,7 @@ class InvariantTable:
 
 def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> InvariantTable:
     """Every mu(I) with r(I) <= k and |I| <= cap = min(max_len, n*k), from
-    one longitude pass.
+    one longitude pass; a max_len below 2 is refused.
 
     The pass runs in the quotient that caps every variable at k + 1
     occurrences and the degree at cap - 1.  An entry I = (J, i) reads the
@@ -179,8 +172,8 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     occurrences of X_i.  Cost follows that policy's monomial count (4,845
     at n=4, k=2), not the n^(n*k) index tuples of length up to n*k.
     """
-    k, n = _level(k), L.n
-    cap = n * k if max_len is None else min(_integer(max_len, "max_len"), n * k)
+    k, n = _at_least(k, "k", 1), L.n
+    cap = n * k if max_len is None else min(_at_least(max_len, "max_len", 2), n * k)
     if cap < 2:
         return InvariantTable(k=k, max_len=cap)
     return _read_table(longitude_series(L, policy=_table_policy(n, k, cap)), k, cap)
@@ -230,7 +223,7 @@ def compare(
     """
     if L.n != M.n:
         raise InvariantError(f"component counts differ: {L.n} vs {M.n}")
-    n, k = L.n, _level(k)
+    n, k = L.n, _at_least(k, "k", 1)
     if mode == "table":
         diff = milnor_table(L, k).first_difference(milnor_table(M, k))
         return diff is None, diff
@@ -321,13 +314,15 @@ class KReducedAction:
 
 
 def identity_action(n: int, k: int) -> KReducedAction:
-    return KReducedAction((series_one(TruncationPolicy.uniform_caps(n, k)),) * n)
+    n = integer(n, "rank", InvariantError)
+    return KReducedAction((series_one(TruncationPolicy.uniform_caps(n, _at_least(k, "k", 1))),) * n)
 
 
 def action(L: StringLinkCode, k: int) -> KReducedAction:
     """The level-k action of a string link: conjugator i is its i-th
     longitude series in the all-caps quotient."""
-    return KReducedAction(longitude_series(L, policy=TruncationPolicy.uniform_caps(L.n, _level(k))))
+    policy = TruncationPolicy.uniform_caps(L.n, _at_least(k, "k", 1))
+    return KReducedAction(longitude_series(L, policy=policy))
 
 
 def action_compose(phi: KReducedAction, psi: KReducedAction) -> KReducedAction:

@@ -64,14 +64,13 @@ any number of series as one gather and one scatter_sum.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .words import Word
+from .words import Word, integer, integers
 
 __all__ = [
     "MagnusError",
@@ -141,21 +140,6 @@ class MagnusError(ValueError):
     """Raised on policy mismatches, bad monomials, or non-unit inversion."""
 
 
-def _integer(value: object, what: str) -> int:
-    """value as an int, for ints and numpy integers only."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise MagnusError(f"{what} must be an integer, got {value!r}") from None
-
-
-def _caps(value: object) -> tuple[int, ...]:
-    """value as a tuple of ints; a string or a non-iterable is refused."""
-    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
-        raise MagnusError(f"caps must be a sequence of integers, got {value!r}")
-    return tuple(_integer(c, "cap") for c in value)
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Monomial ideal: keep monomials of total degree <= max_total_degree
@@ -172,8 +156,9 @@ class TruncationPolicy:
     caps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rank, q = _integer(self.rank, "rank"), _integer(self.max_total_degree, "total degree cap")
-        caps = _caps(self.caps)
+        rank = integer(self.rank, "rank", MagnusError)
+        q = integer(self.max_total_degree, "total degree cap", MagnusError)
+        caps = integers(self.caps, "caps", MagnusError)
         if rank < 1:
             raise MagnusError(f"rank must be positive, got {rank}")
         if q < 0:
@@ -197,7 +182,7 @@ class TruncationPolicy:
         """Per-variable caps; q defaults to sum(caps) - rank, the largest
         degree any surviving monomial can have.  Normalized as the class
         says: with_caps(2, (4, 4), 3) is total_degree(2, 3)."""
-        caps = _caps(caps)
+        caps = integers(caps, "caps", MagnusError)
         return cls(rank, sum(caps) - rank if q is None else q, caps)
 
     @classmethod
@@ -432,7 +417,7 @@ class TruncatedSeries:
     def degree_block(self, d: int) -> np.ndarray:
         """The degree-d coefficients in (degree, lex) order, a read-only
         int64 or object-dtype view."""
-        q = self.policy.max_total_degree
+        q, d = self.policy.max_total_degree, integer(d, "degree", MagnusError)
         if not 0 <= d <= q:
             raise MagnusError(f"degree {d} out of range 0..{q}")
         space = _space(self.policy)
@@ -444,6 +429,7 @@ class TruncatedSeries:
         """True if the two series have equal coefficients in all degrees <= d."""
         if self.policy != other.policy:
             raise MagnusError("policy mismatch")
+        d = integer(d, "degree", MagnusError)
         if d < 0:
             raise MagnusError(f"degree {d} out of range 0..{self.policy.max_total_degree}")
         hi = _space(self.policy).deg_start[min(d, self.policy.max_total_degree) + 1]
@@ -494,14 +480,13 @@ def series_one(policy: TruncationPolicy) -> TruncatedSeries:
 def series_from_terms(policy: TruncationPolicy, terms: Mapping[tuple[int, ...], int]) -> TruncatedSeries:
     """Series with the given coefficients; monomials must satisfy the policy."""
     space = _space(policy)
-    dtype = exact_dtype(max(map(abs, terms.values()), default=0))
-    vec = np.zeros(space.size, dtype=dtype)
+    terms = {tuple(mono): integer(c, "coefficient", MagnusError) for mono, c in terms.items()}
+    vec = np.zeros(space.size, dtype=exact_dtype(max(map(abs, terms.values()), default=0)))
     for mono, c in terms.items():
-        mono = tuple(mono)
         idx = space.find(mono)
         if idx is None:
             raise MagnusError(f"monomial {format_monomial(mono)} is outside the truncation policy")
-        vec[idx] = int(c)
+        vec[idx] = c
     return TruncatedSeries(policy, vec)
 
 
@@ -668,7 +653,7 @@ def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int)
 def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
     """s * (1 + X_v)^mult, or (1 + X_v)^mult * s when ``left``: the Magnus
     image of a_v^mult applied by letter shifts, with no product."""
-    v, mult = _integer(v, "variable"), _integer(mult, "multiplicity")
+    v, mult = integer(v, "variable", MagnusError), integer(mult, "multiplicity", MagnusError)
     if not 1 <= v <= s.policy.rank:
         raise MagnusError(f"variable {v} out of range 1..{s.policy.rank}")
     space = _space(s.policy)

@@ -13,6 +13,10 @@ where it is built from outside data (``Word(...)``, :func:`generator`,
 :func:`word_from_letters`, :func:`parse_word`); the group operations build
 their results from the runs of checked words and check them no further.
 
+Every module reads the integers a caller passes in through :func:`integer`
+and :func:`integers`, with its own error class: a float or a string is
+refused by name, never truncated into an answer or left to fail later.
+
 Conventions (fixed once, used everywhere):
 
 * inverse of x is written x̄,
@@ -39,6 +43,8 @@ from typing import Iterable, Iterator
 __all__ = [
     "Word",
     "WordError",
+    "integer",
+    "integers",
     "empty",
     "generator",
     "word_from_letters",
@@ -56,20 +62,27 @@ class WordError(ValueError):
     """Raised on malformed word input or rank mismatch."""
 
 
-def _integer(value: object, what: str) -> int:
-    """value as an int, for ints and numpy integers only."""
+def integer(value: object, what: str, error: type[ValueError] = WordError) -> int:
+    """value as an int, for ints and numpy integers only; anything else
+    raises ``error`` naming ``what``."""
     try:
         return operator.index(value)
     except TypeError:
-        raise WordError(f"{what} must be an integer, got {value!r}") from None
+        raise error(f"{what} must be an integer, got {value!r}") from None
+
+
+def integers(values: object, what: str, error: type[ValueError] = WordError) -> tuple[int, ...]:
+    """values as a tuple of ints, each read by :func:`integer` as a
+    ``what`` entry; a string or a non-iterable raises ``error``."""
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise error(f"{what} must be a sequence of integers, got {values!r}")
+    return tuple(integer(v, f"{what} entry", error) for v in values)
 
 
 def _merge_runs(runs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    # Stack-based free reduction on run-length pairs.
+    # Stack-based free reduction on run-length pairs of nonzero multiplicity.
     stack: list[tuple[int, int]] = []
     for gen, mult in runs:
-        if mult == 0:
-            continue
         if stack and stack[-1][0] == gen:
             total = stack[-1][1] + mult
             stack.pop()
@@ -95,11 +108,11 @@ class Word:
     runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        rank = _integer(self.rank, "rank")
+        rank = integer(self.rank, "rank")
         if rank < 1:
             raise WordError(f"rank must be positive, got {rank}")
         try:
-            runs = tuple((_integer(g, "generator"), _integer(m, "multiplicity"))
+            runs = tuple((integer(g, "generator"), integer(m, "multiplicity"))
                          for g, m in self.runs)
         except WordError:
             raise
@@ -179,7 +192,7 @@ def invert(w: Word) -> Word:
 
 def power(w: Word, e: int) -> Word:
     """w**e for any integer e."""
-    e = _integer(e, "exponent")
+    e = integer(e, "exponent")
     base = w if e > 0 else invert(w)
     out = empty(w.rank)
     sq, m = base, abs(e)

@@ -66,6 +66,9 @@ def test_table_rejects_bad_k(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: k must be >= 1, got 0\n"
+    for cap in ("1", "-5"):
+        rc, out, err = run(capsys, "table", SINGLE, "--max-len", cap, "--json")
+        assert (rc, out, err) == (2, "", f"error: max_len must be >= 2, got {cap}\n")
 
 
 def test_compare_verdicts_and_witness(capsys):

@@ -214,9 +214,9 @@ def test_closure_and_cut():
     with pytest.raises(GaussCodeError, match="out of range"):
         cut(link, [2, 0])
     for bad in (1.5, "1"):
-        with pytest.raises(GaussCodeError, match=f"basepoint must be an integer, got {bad!r}"):
+        with pytest.raises(GaussCodeError, match=f"basepoints entry must be an integer, got {bad!r}"):
             cut(link, [bad, 0])
-    with pytest.raises(GaussCodeError, match="basepoints must be a sequence, got 3"):
+    with pytest.raises(GaussCodeError, match="basepoints must be a sequence of integers, got 3"):
         cut(link, 3)
 
 

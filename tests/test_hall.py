@@ -281,10 +281,9 @@ def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
 
 
 def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):
-    """Building the solvers and the powers for one (rank, k) expands no
-    commutator word twice at one policy: the top degree's solver reads
-    its columns off the expansions that the powers are built from."""
-    for cached in (hall._degree_solver, hall._powers, hall._units):
+    """The solvers read their columns off the brackets and expand no word;
+    the powers expand no commutator word twice at one policy."""
+    for cached in (hall._degree_solver, hall._powers):
         cached.cache_clear()
     seen = []
     real = hall.expand
@@ -294,14 +293,24 @@ def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):
         return real(w, policy)
 
     monkeypatch.setattr(hall, "expand", recording)
+    for d in range(1, 5):
+        hall._degree_solver(3, d)
+    assert seen == []
     w = word_from_letters(3, [1, 2, -3, 1, -2, 3, 3, -1, 2])
     exps, certified = hall_factorize(w, 4)
     assert certified
     assert_matches_oracle(w, 4, exps)
     commutator_words = Counter((c, p) for c, p in seen if len(c) > 1)
     assert commutator_words and max(commutator_words.values()) == 1
-    top = [c.word for c in generate_basic(3, 4) if c.length == 4]
-    assert sum(commutator_words[(c, TruncationPolicy.total_degree(3, 4))] for c in top) == len(top)
+
+
+def test_principal_parts_are_the_lowest_blocks_of_the_expansions():
+    """_principal, formed from the bracket structure, is the degree-|C|
+    block of C's expansion, for ranks 1-4 and lengths up to 5."""
+    for n in range(1, 5):
+        for c in generate_basic(n, 5):
+            block = expand(c.word, TruncationPolicy.total_degree(n, c.length)).degree_block(c.length)
+            assert hall._principal(c, n).tolist() == block.tolist(), c
 
 
 # A 20-letter rank-3 word (benchmark/inputs.random_letters, random.Random(4))

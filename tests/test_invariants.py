@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from weldmag.gauss import (
 )
 from weldmag.invariants import (
     InvariantError,
+    InvariantTable,
     KReducedAction,
     action,
     action_compose,
@@ -237,6 +239,17 @@ def test_index_entries_caps_and_variables_are_integers():
     assert milnor_table(SINGLE, 2, np.int64(2)) == milnor_table(SINGLE, 2, 2)
 
 
+def test_table_refuses_max_len_below_2():
+    """A max_len below 2 is refused like k < 1, not echoed with an empty
+    table; a cap below 2 that comes from n*k = 1 still gives the empty
+    table."""
+    for bad in (1, 0, -5, np.int64(1)):
+        with pytest.raises(InvariantError, match=re.escape(f"max_len must be >= 2, got {bad}")):
+            milnor_table(SINGLE, 2, bad)
+    knot = parse("1: O1+ U1+")
+    assert milnor_table(knot, 1) == milnor_table(knot, 1, 5) == InvariantTable(k=1, max_len=1)
+
+
 def test_k_equal_modes_agree_on_random_pairs():
     rng = random.Random(31)
     for _ in range(12):
@@ -357,7 +370,7 @@ def test_action_needs_one_uniform_caps_conjugator_per_variable():
     assert [f.name for f in dataclasses.fields(KReducedAction)] == ["conjugators"]
     assert (phi.policy, phi.rank, phi.k) == (pol, 2, 2)
     assert phi == identity_action(2, 2) != identity_action(2, 1)
-    with pytest.raises(InvariantError, match="k >= 1"):
+    with pytest.raises(InvariantError, match="k must be >= 1, got 0"):
         identity_action(2, 0)
 
 
@@ -626,6 +639,35 @@ def test_action_invert_forms_each_monomial_image_once(monkeypatch):
         closure.update(m[:j] for m, _ in s.items() for j in range(len(m)))
         closure.update(m for m, _ in s.items())
     assert int((sub._start >= 0).sum()) == len(closure) > n + 1
+
+
+@pytest.mark.parametrize("n, k, seed", [(3, 2, 1), (2, 4, 3), (4, 1, 4)])
+def test_halving_past_layer_terms_changes_no_result(monkeypatch, n, k, seed):
+    """A segmented product or an apply that would gather more than
+    magnus.LAYER_TERMS terms runs in halves.  At bounds of 1, 7 and 50
+    terms, which split nearly every layer and apply of a 13-15-crossing
+    moved code, action_invert and the substitution applied to each
+    conjugator equal their results at the default bound."""
+    rng = random.Random(seed)
+    phi = action(moved_or_kinked(rng, random_realized(rng, n, 16 // n + 1), "moved"), k)
+    calls = Counter()
+    for name in ("_form_layer", "_apply"):
+        def counted(self, *args, _real=getattr(magnus.Substitution, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(magnus.Substitution, name, counted)
+
+    def answers():
+        sub = Substitution(phi.conjugators)
+        return action_invert(phi).conjugators, [sub(c) for c in phi.conjugators]
+
+    want, default_calls = answers(), Counter(calls)
+    for terms in (1, 7, 50):
+        monkeypatch.setattr(magnus, "LAYER_TERMS", terms)
+        calls.clear()
+        assert answers() == want, terms
+    assert calls["_form_layer"] > default_calls["_form_layer"] and calls["_apply"] > default_calls["_apply"]
 
 
 def test_images_and_action_compare_never_build_the_operator(monkeypatch):

@@ -80,8 +80,8 @@ def test_policy_constructors():
     # kept until a later step fails; numpy integers are integers
     for rank, q, caps, bad in (
         (2, 1.5, (3, 3), "total degree cap must be an integer, got 1.5"),
-        (2, 3, (2.9, 2), "cap must be an integer, got 2.9"),
-        (2, 3, ("3", 3), "cap must be an integer, got '3'"),
+        (2, 3, (2.9, 2), "caps entry must be an integer, got 2.9"),
+        (2, 3, ("3", 3), "caps entry must be an integer, got '3'"),
         (2.0, 3, (3, 3), "rank must be an integer, got 2.0"),
         (2, 3, None, "caps must be a sequence of integers, got None"),
         (2, 3, 3, "caps must be a sequence of integers, got 3"),

@@ -278,3 +278,22 @@ def test_no_word_is_checked_again():
                    for arg in args for a in ast.walk(arg)):
                 problems.append(f"{path.name} line {node.lineno}: {ast.unparse(node)}")
     assert not problems, problems
+
+
+def test_one_integer_reader():
+    """words.integer and words.integers are the one way the package reads
+    an integer a caller passes in, each module raising its own error class
+    through them; so no other module imports operator or reads
+    operator.index."""
+    problems = []
+    for path in (p for p in MODULES if p.name != "words.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import) and any(a.name == "operator" for a in node.names):
+                problems.append(f"{path.name} line {node.lineno}: import operator")
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+                problems.append(f"{path.name} line {node.lineno}: from operator import")
+            elif isinstance(node, ast.Attribute) and node.attr == "index" and (
+                isinstance(node.value, ast.Name) and node.value.id == "operator"
+            ):
+                problems.append(f"{path.name} line {node.lineno}: operator.index")
+    assert not problems, problems

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weldmag import arrows, gauss, hall, invariants, magnus
 from weldmag.words import (
     Word,
     WordError,
@@ -15,6 +16,8 @@ from weldmag.words import (
     empty,
     format_word,
     generator,
+    integer,
+    integers,
     invert,
     multiply,
     parse_word,
@@ -178,3 +181,51 @@ def test_generator_is_checked_as_a_word():
                              (2, "1", "generator must be an integer, got '1'")):
         with pytest.raises(WordError, match=re.escape(bad)):
             generator(rank, index)
+
+
+def test_integer_readers():
+    """integer and integers take ints and numpy integers only, and raise
+    the error class they are given, WordError by default."""
+    assert integer(np.int8(-3), "x") == -3 and type(integer(np.int64(2), "x")) is int
+    assert integers(np.array([2, 1]), "x") == (2, 1) and integers(iter([]), "x") == ()
+    for value, bad in ((1.5, "x must be an integer, got 1.5"), ("1", "x must be an integer, got '1'")):
+        with pytest.raises(WordError, match=re.escape(bad)):
+            integer(value, "x")
+    for values, bad in ((3, "got 3"), ("12", "got '12'"), (None, "got None"), (b"1", "got b'1'")):
+        with pytest.raises(ValueError, match=re.escape(f"x must be a sequence of integers, {bad}")):
+            integers(values, "x", ValueError)
+    with pytest.raises(ValueError, match=re.escape("x entry must be an integer, got 1.0")):
+        integers((1, 1.0), "x", ValueError)
+
+
+SINGLE = "1: U1+ / 2: O1+"
+POLICY = magnus.TruncationPolicy.total_degree(2, 2)
+
+
+@pytest.mark.parametrize("error, ask", [
+    pytest.param(hall.HallError, lambda: hall.generate_basic(2.5, 3), id="generate_basic-rank"),
+    pytest.param(hall.HallError, lambda: hall.generate_basic(2, "3"), id="generate_basic-max_len"),
+    pytest.param(hall.HallError, lambda: hall.hall_factorize(generator(2, 1), "2"), id="hall_factorize-k"),
+    pytest.param(invariants.InvariantError, lambda: invariants.identity_action(2.5, 1),
+                 id="identity_action-rank"),
+    pytest.param(invariants.InvariantError, lambda: invariants.milnor(gauss.parse(SINGLE), 21),
+                 id="milnor-int-index"),
+    pytest.param(invariants.InvariantError, lambda: invariants.milnor(gauss.parse(SINGLE), None),
+                 id="milnor-no-index"),
+    pytest.param(invariants.InvariantError, lambda: invariants.r_index((1.5, 1.5)), id="r_index-entries"),
+    pytest.param(magnus.MagnusError, lambda: magnus.series_from_terms(POLICY, {(1,): 1.5}),
+                 id="series_from_terms-float"),
+    pytest.param(magnus.MagnusError, lambda: magnus.series_from_terms(POLICY, {(1,): "x"}),
+                 id="series_from_terms-string"),
+    pytest.param(magnus.MagnusError, lambda: magnus.series_one(POLICY).degree_block(1.5),
+                 id="degree_block"),
+    pytest.param(magnus.MagnusError, lambda: magnus.series_one(POLICY).agrees_through_degree(
+        magnus.series_one(POLICY), 1.5), id="agrees_through_degree"),
+    pytest.param(arrows.ArrowError, lambda: arrows.leaf("1"), id="leaf-generator"),
+])
+def test_entry_points_refuse_what_is_not_an_integer(error, ask):
+    """Each entry point reads the integers it is given through integer or
+    integers: a float, a string or a non-sequence raises the module's error
+    by name, never a bare TypeError, and is never truncated into an answer."""
+    with pytest.raises(error, match="must be an integer|must be a sequence of integers"):
+        ask()
