@@ -67,7 +67,7 @@ class CommTree:
     right: "CommTree | None" = None
 
     def __post_init__(self) -> None:
-        if self.twist not in (1, -1):
+        if integer(self.twist, "twist", ArrowError) not in (1, -1):
             raise ArrowError(f"twist must be +1 or -1, got {self.twist!r}")
         if self.generator is not None:
             if self.left is not None or self.right is not None:
@@ -181,6 +181,7 @@ def insert_self_tree(
     unrestricted), so the inserted word lies in the normal closure of
     alpha_i; surgery spells it out letter by letter like any other slot.
     """
+    i = integer(i, "component", ArrowError)
     if not 1 <= i <= pres.rank:
         raise ArrowError(f"component {i} out of range")
     for lf in t.leaves():
@@ -188,7 +189,7 @@ def insert_self_tree(
             raise ArrowError(f"leaf label {lf.generator} differs from component {i}")
     w = tree_word(t, rank=pres.rank)
     row = list(pres.slots[i - 1])
-    pos = len(row) if position is None else position
+    pos = len(row) if position is None else integer(position, "slot position", ArrowError)
     if not 0 <= pos <= len(row):
         raise ArrowError(f"slot position {pos} out of range")
     row.insert(pos, w)

@@ -27,11 +27,12 @@ From a code the module derives:
 * the preferred longitudes: component i's longitude is the last of the
   prefix products P_j = meridian^{-f_i} b_{i,1} ... b_{i,j} of the
   conjugating factors met along it, in the truncated series ring.  Every
-  generator power is a letter shift: the writhe correction and its
-  inverse, the starting value of each iterated arc, and each factor over
-  a meridian.  Only over-arcs that are not meridians are iterated, each as
-  the conjugate P_j^{-1} a_i P_j, by a fixed-point loop that gains one
-  degree per sweep and certifies its own stabilization;
+  generator power is a letter shift on the right: the writhe correction,
+  the starting value of each iterated arc, each factor over a meridian and
+  the a_i of each conjugate P_j^{-1} a_i P_j.  Only over-arcs that are not
+  meridians are iterated, each as that conjugate, P_j inverted where the
+  arc is formed, by a fixed-point loop that gains one degree per sweep and
+  certifies its own stabilization;
 * the diagram moves R1, R2 and OC used by the invariance test suite, each
   applied exactly at the sites :func:`applicable_sites` lists, the stacking
   product, and cutting closed links open at chosen basepoints.
@@ -43,7 +44,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from .magnus import TruncationPolicy, TruncatedSeries, mul_letter, series_mul, series_one
+from .magnus import TruncationPolicy, TruncatedSeries, mul_letter, series_inverse, series_mul, series_one
 from .words import integers
 
 __all__ = [
@@ -235,10 +236,11 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
     (i, j+1) is P_j^-1 (1+X_i) P_j, as W_i commutes with 1+X_i.  A factor
     whose over-arc is a meridian is (1+X_v)^(+-1) exactly and costs a
     letter shift; only the iterated arcs, the over-arcs that are not
-    meridians, cost products.  Each is formed in the powers its factors use
-    as P_j^-1 ((1+X_i)^(+-1) P_j), one product, and P_j^-1 is kept only up
-    to the component's last iterated arc.  A sorted code has no iterated
-    arc: its pass is shifts only, one sweep, no product and no inverse.
+    meridians, cost products.  Where one is formed, P_j^-1 is
+    series_inverse(P_j), and each power its factors read is
+    (P_j^-1 (1+X_i)^(+-1)) P_j, a letter shift and one product.  A sorted
+    code has no iterated arc: its pass is shifts only, one sweep, no
+    product and no inverse.
 
     The iterated arcs are found by a Jacobi fixed-point iteration from
     their meridians: sweep t reads the values of sweep t-1, so it is exact
@@ -248,9 +250,9 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
     whose over-arc moved in the previous sweep, starting from the prefixes
     kept before that relation; the factors before it read the same arcs as
     when those prefixes were formed.  The first sweep counts every over-arc
-    as moved and starts each component from its seeded prefixes W_i and
-    W_i^-1, kept before relation 0; the seeds and the iterated arcs'
-    starting meridians are letter shifts of 1.
+    as moved and starts each component from its seeded prefix W_i, kept
+    before relation 0; the seeds and the iterated arcs' starting meridians
+    are letter shifts of 1.
     """
     if isinstance(code, LinkCode):
         raise GaussCodeError("longitudes need a string link; cut the closed link open first")
@@ -261,23 +263,17 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
     qeff = policy.max_total_degree
     one = series_one(policy)
     comps = wirtinger(code)
-    iterated = {rel.over for rels in comps for rel in rels if rel.over[1] > 1}
-    # P_j^-1 is needed for j below the index of component i's last iterated arc
-    last = [max([j - 1 for c, j in iterated if c == i], default=0) for i in range(1, n + 1)]
-    powers: dict = {key: set() for key in iterated}
-    for rels, last_i in zip(comps, last):
-        for j, rel in enumerate(rels, start=1):
-            if rel.over in iterated:
-                powers[rel.over].add(rel.sign)
-                if j <= last_i:
-                    powers[rel.over].add(-rel.sign)
+    powers: dict = {}  # the iterated arcs, each with the powers +-1 its factors read
+    for rels in comps:
+        for rel in rels:
+            if rel.over[1] > 1:
+                powers.setdefault(rel.over, set()).add(rel.sign)
     # arcs[(key, e)] is the arc's series to the power e = +-1, from its meridian
     arcs = {(key, e): mul_letter(one, key[0], e) for key, es in powers.items() for e in es}
-    kept = {}  # (i, r) -> (P, P^-1) before relation r of component i
-    for i, rels in enumerate(comps, start=1):
-        f = sum(rel.sign for rel in rels if rel.over[0] == i)  # the self-writhe
-        kept[(i, 0)] = mul_letter(one, i, -f), (mul_letter(one, i, f) if last[i - 1] else None)
-    out = [kept[(i, 0)][0] for i in range(1, n + 1)]
+    # kept[(i, r)] is P before relation r of component i, seeded with W_i
+    kept = {(i, 0): mul_letter(one, i, -sum(rel.sign for rel in rels if rel.over[0] == i))
+            for i, rels in enumerate(comps, start=1)}
+    out = [kept[(i, 0)] for i in range(1, n + 1)]
     moved = {rel.over for rels in comps for rel in rels}  # sweep 1 reads every over-arc afresh
     for t in range(1, qeff + 2):
         new, moved_now = dict(arcs), set()
@@ -285,21 +281,18 @@ def longitude_series(code: StringLinkCode, policy: TruncationPolicy) -> tuple[Tr
             start = next((r for r, rel in enumerate(rels) if rel.over in moved), None)
             if start is None:
                 continue  # every factor reads the arcs it read before
-            P, P_inv = kept[(i, start)]
+            P = kept[(i, start)]
             for r in range(start, len(rels)):
-                over, e, inverse_too = rels[r].over, rels[r].sign, r < last[i - 1]
-                if over in iterated:
-                    kept[(i, r)] = P, P_inv
+                over, e = rels[r].over, rels[r].sign
+                if over in powers:
+                    kept[(i, r)] = P
                     P = series_mul(P, arcs[(over, e)])
-                    if inverse_too:
-                        P_inv = series_mul(arcs[(over, -e)], P_inv)
                 else:
                     P = mul_letter(P, over[0], e)
-                    if inverse_too:
-                        P_inv = mul_letter(P_inv, over[0], -e, left=True)
                 key = (i, r + 2)
+                P_inv = series_inverse(P) if key in powers else None
                 for e in powers.get(key, ()):
-                    value, old = series_mul(P_inv, mul_letter(P, i, e, left=True)), arcs[(key, e)]
+                    value, old = series_mul(mul_letter(P_inv, i, e), P), arcs[(key, e)]
                     if value != old:
                         if not value.agrees_through_degree(old, min(t - 1, qeff)):
                             raise StabilizationError(

@@ -20,16 +20,17 @@ The per-length counts match the Witt necklace numbers, and the lowest
 basic commutators are linearly independent, which is what makes the
 degree-by-degree factorization below well posed with integer exponents.
 
-The factorization works in the series ring at total degree k: the word is
-expanded once and each degree's factors are divided off the expansion, so
-no word is rewritten and the cost does not follow the exponents.  The
-degree-d exponents come from an integer solve over the principal parts,
-inverted fraction-free once per (rank, degree), then a divisibility check
-and a check of every row; either failing raises HallError.  As
+The factorization works in the series ring at total degree k.  The degree-1
+exponents are the word's exponent sums, so their factors are divided off
+the word itself, as at most n runs in front of it; that word is expanded
+once and each higher degree's factors are divided off the expansion, so
+the cost does not follow the exponents.  The degree-d exponents, d >= 2,
+come from an integer solve over the principal parts, inverted
+fraction-free once per (rank, degree), then a divisibility check and a
+check of every row; either failing raises HallError.  As
 [gamma_d, gamma_d] lies in gamma_2d (Magnus, Karrass and Solitar, ch. 5),
 only degrees 2 <= d <= k/2 divide with products, each C^-x as
-sum_j binom(-x, j) u^j over the cached powers of u = expand(C) - 1.  At
-d = 1 the factors are generator powers, each a letter shift, and at
+sum_j binom(-x, j) u^j over the cached powers of u = expand(C) - 1; at
 2d > k the step is a sum.
 """
 
@@ -47,7 +48,6 @@ from .magnus import (
     TruncationPolicy,
     exact_dtype,
     expand,
-    mul_letter,
     scatter_sum,
     series_mul,
     series_one,
@@ -93,10 +93,13 @@ class BasicCommutator:
         return f"BasicCommutator({self.ordinal}: {self.bracket})"
 
 
-@lru_cache(maxsize=None)
 def generate_basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
     """All basic commutators of length <= max_len over a1..an, in order."""
-    n, max_len = words.integer(n, "rank", HallError), words.integer(max_len, "max_len", HallError)
+    return _basic(words.integer(n, "rank", HallError), words.integer(max_len, "max_len", HallError))
+
+
+@lru_cache(maxsize=None)
+def _basic(n: int, max_len: int) -> tuple[BasicCommutator, ...]:
     if n < 1:
         raise HallError(f"rank must be positive, got {n}")
     if max_len < 1:
@@ -290,11 +293,11 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     remainder h provably has no Magnus terms in degrees 1..k (so it lies in
     the (k+1)-st lower central subgroup).
 
-    w is expanded once at total degree k.  At each degree d the remainder
-    1 + r, r of degree >= d, has its degree-d block solved exactly for the
-    exponents x, and is left-multiplied by C_m^-x_m ... C_1^-x_1:
-    at d = 1, where C_g = a_g, by one left letter shift a_g^-x_g per nonzero
-    x_g, a_1 first, and no product; at 2 <= d <= k/2 by each
+    The degree-1 exponents x_g, where C_g = a_g, are w's exponent sums, so
+    the word a_n^-x_n ... a_1^-x_1 w is expanded once at total degree k,
+    giving the remainder 1 + r, r of degree >= 2.  At each degree d >= 2
+    its degree-d block is solved exactly for the exponents x, and it is
+    left-multiplied by C_m^-x_m ... C_1^-x_1: at 2 <= d <= k/2 by each
     C_c^-x_c = 1 + sum_j binom(-x_c, j) u_c^j, one product per nonzero
     x_c over the cached powers of u_c = expand(C_c) - 1;
     at 2d > k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no product.
@@ -305,19 +308,16 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
         raise HallError(f"k must be at least 1, got {k}")
     n = w.rank
     policy = TruncationPolicy.total_degree(n, k)
-    rem = expand(w, policy)
-    exps: list[int] = []
-    for d in range(1, k + 1):
+    exps = [sum(m for g, m in w.runs if g == v) for v in range(1, n + 1)]
+    head = Word(n, tuple((g, -exps[g - 1]) for g in range(n, 0, -1) if exps[g - 1]))
+    rem = expand(words.multiply(head, w), policy)
+    for d in range(2, k + 1):
         x = _degree_solver(n, d)(rem.degree_block(d))
         exps.extend(x)
         if not any(x):
             continue
         if 2 * d > k:
             rem = rem - TruncatedSeries(policy, _product(_powers(n, k, d), np.array(x, dtype=object)))
-        elif d == 1:
-            for g, e in enumerate(x, start=1):
-                if e:
-                    rem = mul_letter(rem, g, -e, left=True)
         else:
             u, j = _powers(n, k, d), k // d
             for c, e in enumerate(x):

@@ -41,16 +41,17 @@ packed letter counts; and c is found by a searchsorted of the base-(n+1)
 code of a.b among the policy's codes.  The split triples are all (a, b, c)
 of the policy, read off the same codes and ordered by c, so each degree's
 are one contiguous range.  A fixed rule in the code takes the split
-triples on policies with few of them, on operands with more than a tenth
-as many pairs as triples, and where the codes or the packed counts would
-not fit in int64; the rule changes only the speed.  No sum goes through floats.
+triples where a call reads few of them, on operands with more than a
+tenth as many pairs as those triples, and where the codes or the packed
+counts would not fit in int64; the rule changes only the speed.  No sum
+goes through floats.
 
 The Magnus expansion maps the free group into the units of this ring by
 a_i -> 1 + X_i.  A word's expansion equals 1 exactly when the word is
 trivial, degree-truncation permitting, which is what makes every membership
 test in this package a finite exact computation.  Multiplying a series by
-the image of a_v^m, on either side, is a letter shift (mul_letter), not a
-product.
+the image of a_v^m on the right is a letter shift (mul_letter), not a
+product: each monomial ending in X_v is taken from its parent.
 
 The conjugating substitution X_v -> c_v^{-1} X_v c_v that a string link's
 action induces is a :class:`Substitution`, built once per operation from
@@ -173,6 +174,7 @@ class TruncationPolicy:
     @classmethod
     def total_degree(cls, rank: int, q: int) -> "TruncationPolicy":
         """Total degree q alone: caps q + 1, which drop nothing of degree <= q."""
+        rank, q = integer(rank, "rank", MagnusError), integer(q, "degree cutoff", MagnusError)
         if q < 1:
             raise MagnusError(f"degree cutoff must be at least 1, got {q}")
         return cls(rank, q, (q + 1,) * rank)
@@ -188,11 +190,14 @@ class TruncationPolicy:
     @classmethod
     def uniform_caps(cls, rank: int, k: int) -> "TruncationPolicy":
         """Caps (k+1,...,k+1): the ideal whose unit coset detects J^k."""
+        rank, k = integer(rank, "rank", MagnusError), integer(k, "k", MagnusError)
         return cls.with_caps(rank, (k + 1,) * rank)
 
     @classmethod
     def component_caps(cls, rank: int, k: int, i: int) -> "TruncationPolicy":
         """Caps k at slot i, k+1 elsewhere: detects the i-th refinement J_i^k."""
+        rank, k = integer(rank, "rank", MagnusError), integer(k, "k", MagnusError)
+        i = integer(i, "component", MagnusError)
         if not 1 <= i <= rank:
             raise MagnusError(f"component {i} out of range for rank {rank}")
         caps = [k + 1] * rank
@@ -223,11 +228,10 @@ class _PolicySpace:
     powers[s] = (n+1)^s; products form support pairs only when the codes
     and the packed counts fit in int64 (see _convolve).
 
-    A letter map of X_v is (src, dst, slices): it sends src to dst, and
-    slices holds its nonempty degree slices as (dst, src) views.  The
-    append map append[v] takes each monomial ending in X_v, in index order
-    and so by degree, from its parent; the prepend map prepend[v], built on
-    first use, takes each monomial starting with X_v from its suffix.
+    The letter map append[v] of X_v is (src, dst, slices): it takes each
+    monomial dst ending in X_v, in index order and so by degree, from its
+    parent src, and slices holds its nonempty degree slices as (dst, src)
+    views.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -283,28 +287,16 @@ class _PolicySpace:
         self.pairs_fit = codes_fit and self.counts is not None
         self.powers = base ** np.arange(q + 1, dtype=code_type)
 
-        self.append = [None] + [
-            self._letter_map(dst, self.parent[dst])
-            for dst in (np.flatnonzero(self.last == v) for v in range(1, n + 1))]
+        self.append = [None]
+        for v in range(1, n + 1):
+            dst = np.flatnonzero(self.last == v)
+            src, cuts = self.parent[dst], np.searchsorted(dst, deg_start).tolist()
+            self.append.append(
+                (src, dst, [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]))
 
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._monos: dict[int, tuple[int, ...]] = {0: ()}
         self._labels: dict[int, str] = {}
-
-    def _letter_map(self, dst: np.ndarray, src: np.ndarray) -> tuple:
-        cuts = np.searchsorted(dst, self.deg_start).tolist()
-        return src, dst, [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-
-    @cached_property
-    def prepend(self) -> list:
-        # a monomial of degree d >= 1 is its first letter times its suffix
-        lo = self.deg_start[1]
-        codes, place = self.codes[lo:], self.powers[self.deg[lo:] - 1]
-        first = (codes // place).astype(np.int64)
-        suffix = np.searchsorted(self.codes, codes % place)
-        return [None] + [
-            self._letter_map(lo + at, suffix[at])
-            for at in (np.flatnonzero(first == v) for v in range(1, self.policy.rank + 1))]
 
     def triple_span(self, degree: int | None = None) -> tuple[int, int]:
         """Where in splits() the triples of the degree-d monomials lie, or
@@ -501,9 +493,10 @@ def series_mul(s: TruncatedSeries, t: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(s.policy, _convolve(_space(s.policy), s._vec, t._vec))
 
 
-# The kernel rule, from timing _convolve on each triple source (best of 5,
-# numpy 2.4, one core) in two runs over 2,122 products recorded from the
-# benchmark's four workloads: up to 1,849 split triples the split triples
+# The kernel rule counts the triples a call reads: all for a whole product,
+# one block's for a degree block.  Timing _convolve on each source (best of
+# 5, numpy 2.4, one core) in two runs over 2,122 whole products recorded
+# from the benchmark's four workloads: up to 1,849 triples the split triples
 # won 2.4-2.5x (support pairs cost a fixed 25-70 us, split triples 12-19
 # us); at hall's 7,737 (total_degree(4, 5)) the two tied within about 10%;
 # from 28,882 on, the support pairs won below one pair per 12 triples, tied
@@ -524,9 +517,10 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, degree: 
     """The index triples (a, b, c) of the pairs of nonzero terms whose
     product survives, or with ``degree`` only those whose product has that
     degree, c the index of mono_a * mono_b, and the supports (ia, ib) of sv
-    and tv; None when the split triples of the policy are the cheaper
-    source."""
-    if not space.pairs_fit or space.triples < DENSE_BELOW_TRIPLES:
+    and tv; None when the split triples the call would read are the
+    cheaper source."""
+    first, last = space.triple_span(degree)
+    if not space.pairs_fit or last - first < DENSE_BELOW_TRIPLES:
         return None
     ia, ib = np.flatnonzero(sv != 0), np.flatnonzero(tv != 0)
     deg, right = space.deg, space.deg[ib]
@@ -534,7 +528,6 @@ def _support_pairs(space: _PolicySpace, sv: np.ndarray, tv: np.ndarray, degree: 
     top = space.max_degree if degree is None else degree
     lo = 0 if degree is None else np.searchsorted(right, degree - deg[ia])
     hi = np.searchsorted(right, top - deg[ia], side="right")
-    first, last = space.triple_span(degree)
     if int((hi - lo).sum()) * PAIR_COST > last - first:
         return None
     owner, at = _segments(lo, hi)
@@ -600,20 +593,19 @@ def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
 # -- expansion of words -------------------------------------------------------
 
 
-def _mul_one_letter(letter_map: tuple, vec: np.ndarray) -> np.ndarray:
-    """vec times (1 + X_v), on the side of X_v's letter map."""
+def _mul_one_letter(space: _PolicySpace, v: int, vec: np.ndarray) -> np.ndarray:
+    """vec times (1 + X_v), by X_v's letter map."""
     out = vec.astype(exact_dtype(2 * _norm(vec)))
-    src, dst, _ = letter_map
+    src, dst, _ = space.append[v]
     out[dst] += out[src]
     return out
 
 
-def _div_one_letter(space: _PolicySpace, letter_map: tuple, vec: np.ndarray) -> np.ndarray:
-    """vec times (1 + X_v)^{-1}, on the side of X_v's letter map, by
-    degree-increasing back substitution; each result is at most q + 1 terms
-    of vec."""
+def _div_one_letter(space: _PolicySpace, v: int, vec: np.ndarray) -> np.ndarray:
+    """vec times (1 + X_v)^{-1}, by degree-increasing back substitution
+    over X_v's letter map; each result is at most q + 1 terms of vec."""
     out = vec.astype(exact_dtype((space.max_degree + 1) * _norm(vec)))
-    for dst, src in letter_map[2]:
+    for dst, src in space.append[v][2]:
         out[dst] -= out[src]
     return out
 
@@ -626,17 +618,17 @@ def _binomial_coeffs(mult: int, dmax: int) -> list[int]:
     return [(-1) ** d * math.comb(m + d - 1, d) for d in range(dmax + 1)]
 
 
-def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int) -> np.ndarray:
-    """vec times (1 + X_v)^mult for any integer mult, on the side of X_v's
-    letter map; ||vec||_1 times the 1-norm of (1 + X_v)^mult's coefficients
-    bounds every partial sum."""
+def _mul_run(space: _PolicySpace, v: int, vec: np.ndarray, mult: int) -> np.ndarray:
+    """vec times (1 + X_v)^mult for any integer mult, by X_v's letter map;
+    ||vec||_1 times the 1-norm of (1 + X_v)^mult's coefficients bounds
+    every partial sum."""
     if mult == 1:
-        return _mul_one_letter(letter_map, vec)
+        return _mul_one_letter(space, v, vec)
     if mult == -1:
-        return _div_one_letter(space, letter_map, vec)
+        return _div_one_letter(space, v, vec)
     coeffs = _binomial_coeffs(mult, space.max_degree)
     vec = vec.astype(exact_dtype(_norm(vec) * sum(map(abs, coeffs))), copy=False)
-    src, dst, _ = letter_map
+    src, dst, _ = space.append[v]
     out = vec * coeffs[0]
     term = vec
     for c in coeffs[1:]:
@@ -650,15 +642,13 @@ def _mul_run(space: _PolicySpace, letter_map: tuple, vec: np.ndarray, mult: int)
     return out
 
 
-def mul_letter(s: TruncatedSeries, v: int, mult: int = 1, left: bool = False) -> TruncatedSeries:
-    """s * (1 + X_v)^mult, or (1 + X_v)^mult * s when ``left``: the Magnus
-    image of a_v^mult applied by letter shifts, with no product."""
+def mul_letter(s: TruncatedSeries, v: int, mult: int = 1) -> TruncatedSeries:
+    """s * (1 + X_v)^mult: the Magnus image of a_v^mult applied on the
+    right by letter shifts, with no product."""
     v, mult = integer(v, "variable", MagnusError), integer(mult, "multiplicity", MagnusError)
     if not 1 <= v <= s.policy.rank:
         raise MagnusError(f"variable {v} out of range 1..{s.policy.rank}")
-    space = _space(s.policy)
-    letter_map = space.prepend[v] if left else space.append[v]
-    return TruncatedSeries(s.policy, _mul_run(space, letter_map, s._vec, mult))
+    return TruncatedSeries(s.policy, _mul_run(_space(s.policy), v, s._vec, mult))
 
 
 def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
@@ -672,7 +662,7 @@ def expand(w: Word, policy: TruncationPolicy) -> TruncatedSeries:
     space = _space(policy)
     vec = series_one(policy)._vec
     for g, mult in w.runs:
-        vec = _mul_run(space, space.append[g], vec, mult)
+        vec = _mul_run(space, g, vec, mult)
     return TruncatedSeries(policy, vec)
 
 

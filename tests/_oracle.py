@@ -5,6 +5,7 @@ order) to integer coefficients; no numpy, no shared index spaces, no run
 tricks.  Slow but obviously correct.
 """
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -166,3 +167,12 @@ def random_reduced_letters(rng, rank, length):
             continue
         letters.append(l)
     return letters
+
+
+def mirror(code):
+    """The string link reflected top to bottom, its inverse up to
+    link-homotopy: each component's passages reversed and every crossing's
+    sign negated, the roles kept."""
+    return type(code)(tuple(
+        tuple(dataclasses.replace(p, sign=-p.sign) for p in reversed(comp))
+        for comp in code.components))

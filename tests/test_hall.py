@@ -244,8 +244,9 @@ def test_big_multiplicities_take_the_object_path():
 
 
 def test_factorize_stays_in_the_series_ring(monkeypatch):
-    """No word rewriting per question: words.power and words.multiply are
-    never called once the (rank, k) caches exist."""
+    """No word rewriting per question once the (rank, k) caches exist:
+    words.power is never called, and words.multiply once, to put the
+    degree-1 factors in front of the word."""
     w = word_from_letters(4, [1, 2, -3, 4, 4, -1, 3])
     want = hall_factorize(w, 5)
     again = word_from_letters(4, [2, 2, -3, 4, 1, -1, 3, 3])
@@ -254,16 +255,24 @@ def test_factorize_stays_in_the_series_ring(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("word rewriting on the per-question path")
 
+    calls = []
+    real = words.multiply
+
+    def counted(*ws):
+        calls.append(ws)
+        return real(*ws)
+
     monkeypatch.setattr(words, "power", forbidden)
-    monkeypatch.setattr(words, "multiply", forbidden)
+    monkeypatch.setattr(words, "multiply", counted)
     assert hall_factorize(w, 5) == want
     assert hall_factorize(again, 5) == expected_again
+    assert [len(ws) for ws in calls] == [2, 2] and [ws[1] for ws in calls] == [w, again]
 
 
 def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
-    """At k = 5 a question makes one product for the degree-1 factors and
-    one per nonzero degree-2 exponent, and no power, once the (rank, k)
-    caches exist."""
+    """At k = 5 a question makes one product per nonzero degree-2
+    exponent and no other, once the (rank, k) caches exist; the degree-1
+    factors cost none."""
     w = word_from_letters(4, [1, 2, -3, 4, 4, -1, 3, 2, -4, -2, 1])
     want = hall_factorize(w, 5)
     degree2 = [e for c, e in zip(generate_basic(4, 5), want[0]) if c.length == 2]
@@ -277,7 +286,7 @@ def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
     monkeypatch.setattr(hall, "series_mul", counted)
     assert hall_factorize(w, 5) == want
     assert sum(1 for e in degree2 if e) >= 2
-    assert len(calls) <= 1 + sum(1 for e in degree2 if e)
+    assert len(calls) == sum(1 for e in degree2 if e)
 
 
 def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):

@@ -551,6 +551,27 @@ def test_action_invert():
     assert action_invert(ident2) == ident2
 
 
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_mirror_is_the_inverse(n, k):
+    """The mirror image of a string link (oracle.mirror) inverts it: its
+    action is action_invert of the link's, and stacked on either side of
+    the link it leaves every mu(I) with r(I) <= k zero.  On sorted, moved,
+    kinked and stacked codes, 24 per (n, k)."""
+    rng = random.Random(10 * n + k)
+    for _ in range(6):
+        base = random_realized(rng, n)
+        for style in ("sorted", "moved", "kinked", "stacked"):
+            if style == "stacked":
+                L = stack(moved_or_kinked(rng, random_realized(rng, n), "kinked"),
+                          moved_or_kinked(rng, base, "moved"))
+            else:
+                L = moved_or_kinked(rng, base, style)
+            M = oracle.mirror(L)
+            assert action(M, k) == action_invert(action(L, k)), (style, serialize(L))
+            assert milnor_table(stack(L, M), k).is_zero, (style, serialize(L))
+            assert milnor_table(stack(M, L), k).is_zero, (style, serialize(L))
+
+
 def test_action_compose_inverts_each_conjugator_once(monkeypatch):
     """One substitution per composition: n series_inverse calls, not n per
     conjugator."""

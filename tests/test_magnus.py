@@ -250,6 +250,26 @@ def test_wide_total_degree_policy_takes_the_support_pairs(monkeypatch):
     assert paths == {"pairs": 20, "dense": 0}
 
 
+def test_kernel_rule_counts_the_triples_a_call_reads():
+    """uniform_caps(4, 2) has 57,837 split triples, past the size floor of
+    the pair path, and sparse operands take the support pairs for a whole
+    product.  A degree block reads only its own triples: the blocks of
+    degrees 1-5, below the floor, take the split triples however sparse the
+    operands, and the degree-7 block, 20,160 triples, takes the pairs."""
+    policy = TruncationPolicy.uniform_caps(4, 2)
+    space = magnus._space(policy)
+    s = series_from_terms(policy, {(1, 2): 1, (1, 1, 2, 2, 3, 3): -1})
+    t = series_from_terms(policy, {(): 1, (4,): 2})
+    assert magnus._support_pairs(space, s._vec, t._vec) is not None
+    for degree in range(1, 6):
+        first, last = space.triple_span(degree)
+        assert last - first < magnus.DENSE_BELOW_TRIPLES
+        assert magnus._support_pairs(space, s._vec, t._vec, degree) is None, degree
+    first, last = space.triple_span(7)
+    assert last - first == 20_160
+    assert magnus._support_pairs(space, s._vec, t._vec, 7) is not None
+
+
 def test_series_mul_kernel_matches_oracle(monkeypatch):
     """Both product paths against the dict oracle, from one-term operands
     to full support, on int64 and (coefficients times 2**62 + 1, past
@@ -744,9 +764,8 @@ def test_items_order_and_equality():
 def test_mul_letter_rejects_variables_out_of_range():
     one = series_one(TruncationPolicy.uniform_caps(2, 1))
     for v in (-1, 0, 3):
-        for left in (False, True):
-            with pytest.raises(MagnusError, match=rf"variable {v} out of range 1\.\.2"):
-                magnus.mul_letter(one, v, left=left)
+        with pytest.raises(MagnusError, match=rf"variable {v} out of range 1\.\.2"):
+            magnus.mul_letter(one, v)
 
 
 @given(
@@ -757,9 +776,9 @@ def test_mul_letter_rejects_variables_out_of_range():
     st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_mul_letter_matches_products_on_both_sides(caps, q, seed, mult, big):
-    """mul_letter shifts letters on either side; the series_mul by the
-    expansion of a_v^mult on that side is the reference."""
+def test_mul_letter_matches_the_product(caps, q, seed, mult, big):
+    """mul_letter shifts letters on the right; the series_mul by the
+    expansion of a_v^mult on the right is the reference."""
     rank = len(caps)
     pol = TruncationPolicy.with_caps(rank, caps, min(q, sum(caps) - rank))
     rng = random.Random(seed)
@@ -769,7 +788,6 @@ def test_mul_letter_matches_products_on_both_sides(caps, q, seed, mult, big):
     v = rng.randint(1, rank)
     letter = expand(Word(rank, ((v, mult),) if mult else ()), pol)
     assert magnus.mul_letter(s, v, mult) == series_mul(s, letter)
-    assert magnus.mul_letter(s, v, mult, left=True) == series_mul(letter, s)
 
 
 SAFE = int(magnus.INT64_SAFE)
@@ -823,14 +841,13 @@ def sum_case(sign):
     return case
 
 
-def mul_letter_case(mult, left):
+def mul_letter_case(mult):
     def case(c):
         s = scaled(BASE_S, c)
 
         def run():
             letter = oracle.power({(): 1, (2,): 1}, mult, Q)
-            want = oracle.mul(letter, s, Q) if left else oracle.mul(s, letter, Q)
-            return magnus.mul_letter(series(s), 2, mult, left=left), want
+            return magnus.mul_letter(series(s), 2, mult), oracle.mul(s, letter, Q)
 
         return 5 * c * run_norm(mult, Q), run
 
@@ -880,11 +897,7 @@ THRESHOLD_CASES = {
     "product-support-pairs": product_case,
     "sum": sum_case(1),
     "difference": sum_case(-1),
-    **{
-        f"mul_letter-{mult}-{'left' if left else 'right'}": mul_letter_case(mult, left)
-        for mult in (1, -1, 3, -2)
-        for left in (False, True)
-    },
+    **{f"mul_letter-{mult}-right": mul_letter_case(mult) for mult in (1, -1, 3, -2)},
     "expand": expand_case,
     "substitution": substitution_case,
     "inverse": inverse_case,
@@ -946,7 +959,6 @@ def test_small_values_on_python_ints_go_back_to_int64():
     for mult in (1, -1, 3, -2):
         letter = oracle.power({(): 1, (2,): 1}, mult, Q)
         checks.append((magnus.mul_letter(s, 2, mult), oracle.mul(BASE_S, letter, Q)))
-        checks.append((magnus.mul_letter(s, 2, mult, left=True), oracle.mul(letter, BASE_S, Q)))
         checks.append((magnus.mul_letter(one, 2, mult), letter))
     # a factor past int64 whose products are all 0
     big, zero = series({(1,): 2**70}), series({})

@@ -200,6 +200,7 @@ def test_integer_readers():
 
 SINGLE = "1: U1+ / 2: O1+"
 POLICY = magnus.TruncationPolicy.total_degree(2, 2)
+PRES = arrows.sorted_presentation([generator(2, 2), generator(2, 1)])
 
 
 @pytest.mark.parametrize("error, ask", [
@@ -222,6 +223,24 @@ POLICY = magnus.TruncationPolicy.total_degree(2, 2)
     pytest.param(magnus.MagnusError, lambda: magnus.series_one(POLICY).agrees_through_degree(
         magnus.series_one(POLICY), 1.5), id="agrees_through_degree"),
     pytest.param(arrows.ArrowError, lambda: arrows.leaf("1"), id="leaf-generator"),
+    pytest.param(arrows.ArrowError, lambda: arrows.leaf(1, twist=1.0), id="leaf-twist"),
+    pytest.param(arrows.ArrowError, lambda: arrows.insert_self_tree(PRES, "1", arrows.leaf(1)),
+                 id="insert_self_tree-component"),
+    pytest.param(arrows.ArrowError, lambda: arrows.insert_self_tree(PRES, 1, arrows.leaf(1), position="0"),
+                 id="insert_self_tree-position"),
+    pytest.param(hall.HallError, lambda: hall.generate_basic([2], 3), id="generate_basic-list"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.total_degree(2.5, 3),
+                 id="total_degree-rank"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.total_degree(2, "3"),
+                 id="total_degree-q"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.uniform_caps(2.5, 1),
+                 id="uniform_caps-rank"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.uniform_caps(2, "1"),
+                 id="uniform_caps-k"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.component_caps(2, 2, 1.5),
+                 id="component_caps-component"),
+    pytest.param(magnus.MagnusError, lambda: magnus.TruncationPolicy.component_caps(2, "2", 1),
+                 id="component_caps-k"),
 ])
 def test_entry_points_refuse_what_is_not_an_integer(error, ask):
     """Each entry point reads the integers it is given through integer or
