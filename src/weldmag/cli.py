@@ -56,7 +56,7 @@ def _cmd_milnor(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     table = invariants.milnor_table(gauss.parse(_read_source(args.code)), args.k, args.max_len)
     if args.json:
-        entries = [{"I": list(I), "mu": v} for I, v in table.items_sorted()]
+        entries = [{"I": list(I), "mu": v} for I, v in table.entries.items()]
         return 0, {"k": table.k, "max_len": table.max_len, "entries": entries}
     return 0, table.format_lines()
 
@@ -213,8 +213,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         status, answer = args.func(args)
-        text = (json.dumps({"schema": 1, **answer}, sort_keys=True) if args.json
-                else "\n".join(answer))
+        # each handler builds a fresh tree, so the encoder need not look for cycles
+        text = (json.dumps({"schema": 1, **answer}, sort_keys=True, check_circular=False)
+                if args.json else "\n".join(answer))
         if getattr(args, "output", None):
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -40,6 +40,7 @@ every round for every conjugator and then to the composition phi then psi.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -49,6 +50,7 @@ from .magnus import (
     Substitution,
     TruncatedSeries,
     TruncationPolicy,
+    indexed_terms,
     retruncate,
     series_mul,
     series_one,
@@ -129,32 +131,36 @@ def milnor(L: StringLinkCode, I: Sequence[int]) -> int:
 
 @dataclass
 class InvariantTable:
-    """All nonzero mu(I) with r(I) <= k and 2 <= |I| <= max_len."""
+    """All nonzero mu(I) with r(I) <= k and 2 <= |I| <= max_len.
+
+    entries iterates in table order, by length and then lexicographically,
+    the order milnor_table reads them in; format_lines and first_difference
+    rely on it."""
 
     k: int
     max_len: int
     entries: dict[tuple[int, ...], int] = field(default_factory=dict)
-
-    def items_sorted(self) -> list[tuple[tuple[int, ...], int]]:
-        return sorted(self.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
 
     def format_lines(self) -> list[str]:
-        return [f"mu({','.join(map(str, I))}) = {v}" for I, v in self.items_sorted()]
+        return [f"mu({','.join(map(str, I))}) = {v}" for I, v in self.entries.items()]
 
     def first_difference(
         self, other: "InvariantTable"
     ) -> tuple[tuple[int, ...], int, int] | None:
         """The first index I (by length, then lexicographically) where the
-        tables differ, with mu(I) here and in ``other``; None when they agree."""
-        keys = set(self.entries) | set(other.entries)
-        for I in sorted(keys, key=lambda t: (len(t), t)):
-            mine, theirs = self.entries.get(I, 0), other.entries.get(I, 0)
+        tables differ, with mu(I) here and in ``other``; None when they agree.
+
+        Both entry lists are in table order, so they agree up to their first
+        unequal pair, and the smaller index of that pair is the first
+        difference: the other table holds another value there or lacks it."""
+        for mine, theirs in itertools.zip_longest(self.entries.items(), other.entries.items()):
             if mine != theirs:
-                return I, mine, theirs
+                I = min((p[0] for p in (mine, theirs) if p is not None), key=lambda t: (len(t), t))
+                return I, self.entries.get(I, 0), other.entries.get(I, 0)
         return None
 
 
@@ -169,8 +175,10 @@ def milnor_table(L: StringLinkCode, k: int, max_len: int | None = None) -> Invar
     under prefixes and suffixes, so the quotient is a ring quotient and the
     longitude series in it is the projection of the full one.  The entries
     are then the nonzero monomials J of longitude i with fewer than k
-    occurrences of X_i.  Cost follows that policy's monomial count (4,845
-    at n=4, k=2), not the n^(n*k) index tuples of length up to n*k.
+    occurrences of X_i, read by magnus.indexed_terms as one mask over the
+    stacked longitudes, already in table order.  Cost follows that policy's
+    monomial count (4,845 at n=4, k=2), not the n^(n*k) index tuples of
+    length up to n*k.
     """
     k, n = _at_least(k, "k", 1), L.n
     cap = n * k if max_len is None else min(_at_least(max_len, "max_len", 2), n * k)
@@ -186,16 +194,11 @@ def _table_policy(n: int, k: int, cap: int) -> TruncationPolicy:
 
 def _read_table(longitudes: Sequence[TruncatedSeries], k: int, cap: int) -> InvariantTable:
     """The entries (J, i) with X_i fewer than k times in J, read off the
-    nonzero monomials J of longitude i.  The longitudes live in a quotient
-    that caps every variable at k + 1 occurrences and the degree at
-    cap - 1, or at any higher degree when cap = n*k: a J read has degree at
-    most n*k - 1 anyway."""
-    table = InvariantTable(k=k, max_len=cap)
-    for i, lam in enumerate(longitudes, start=1):
-        for mono, v in lam.items():
-            if mono and mono.count(i) < k:
-                table.entries[mono + (i,)] = v
-    return table
+    nonzero monomials J of longitude i in table order.  The longitudes live
+    in a quotient that caps every variable at k + 1 occurrences and the
+    degree at cap - 1, or at any higher degree when cap = n*k: a J read has
+    degree at most n*k - 1 anyway."""
+    return InvariantTable(k=k, max_len=cap, entries=indexed_terms(longitudes, k))
 
 
 # -- the three equivalent predicates -----------------------------------------------

@@ -84,6 +84,7 @@ __all__ = [
     "mul_letter",
     "expand",
     "retruncate",
+    "indexed_terms",
     "Substitution",
     "exact_dtype",
     "scatter_sum",
@@ -232,6 +233,9 @@ class _PolicySpace:
     monomial dst ending in X_v, in index order and so by degree, from its
     parent src, and slices holds its nonempty degree slices as (dst, src)
     views.
+
+    letter_counts, built on first read, holds every letter's count in every
+    monomial unpacked (see indexed_terms).
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -297,6 +301,18 @@ class _PolicySpace:
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._monos: dict[int, tuple[int, ...]] = {0: ()}
         self._labels: dict[int, str] = {}
+
+    @cached_property
+    def letter_counts(self) -> np.ndarray:
+        """The count of X_j in monomial i at [i, j - 1], for every letter,
+        in the smallest unsigned dtype that holds the degree q; each layer
+        is its parents' counts plus its last letters.  Products never read
+        it, so only a policy whose terms are read by letter builds it."""
+        counts = np.zeros((self.size, self.policy.rank), dtype=np.min_scalar_type(self.max_degree))
+        for lo, hi in zip(self.deg_start[1:], self.deg_start[2:]):
+            counts[lo:hi] = counts[self.parent[lo:hi]]
+            counts[np.arange(lo, hi), self.last[lo:hi] - 1] += 1
+        return counts
 
     def triple_span(self, degree: int | None = None) -> tuple[int, int]:
         """Where in splits() the triples of the degree-d monomials lie, or
@@ -687,6 +703,43 @@ def retruncate(s: TruncatedSeries, new_policy: TruncationPolicy) -> TruncatedSer
         raise MagnusError("rank mismatch in retruncate")
     mapping = _retrunc_map(s.policy, new_policy)
     return TruncatedSeries(new_policy, s._vec[mapping])
+
+
+def indexed_terms(series: Sequence[TruncatedSeries], k: int) -> dict[tuple[int, ...], int]:
+    """The nonzero terms c X_J of series i, for each i of the n series of
+    one rank-n policy, whose monomial J is not 1 and holds X_i fewer than k
+    times, as a dict {J + (i,): c} that iterates by length and then
+    lexicographically.
+
+    The series are stacked as the columns of one (size, n) array, and one
+    mask, nonzero and fewer than k in the policy's letter counts, picks the
+    terms.  np.nonzero lists the kept (J, i) row by row, J ascending and
+    then i, and monomial indices follow (degree, lex) order, so that is
+    already the (length, lex) order of J + (i,): nothing is sorted.  Only
+    the kept J are decoded, one degree at a time: their letters are read
+    up the parents into one matrix whose last column is i.
+    """
+    k = integer(k, "k", MagnusError)
+    if not series or len(series) != series[0].policy.rank:
+        raise MagnusError("need one series per variable")
+    for s in series:
+        _check_policies(series[0], s)
+    space = _space(series[0].policy)
+    coeffs = np.stack([s._vec for s in series], axis=1)
+    keep = (coeffs != 0) & (space.letter_counts < k)
+    keep[0] = False
+    rows, cols = np.nonzero(keep)
+    index = []
+    cuts = np.searchsorted(rows, space.deg_start).tolist()
+    for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        letters = np.empty((hi - lo, d + 1), dtype=np.int64)
+        letters[:, d] = cols[lo:hi] + 1
+        at = rows[lo:hi]
+        for j in reversed(range(d)):
+            letters[:, j] = space.last[at]
+            at = space.parent[at]
+        index += map(tuple, letters.tolist())
+    return dict(zip(index, coeffs[rows, cols].tolist()))
 
 
 # A segmented product or an apply that would gather more terms than this

@@ -115,8 +115,8 @@ def test_table_filters_and_ordering():
             assert r_index(I) <= 2
             assert 2 <= len(I) <= 4
             assert len(set(I)) > 1  # pure powers never appear
-        lens = [(len(I), I) for I, _ in t.items_sorted()]
-        assert lens == sorted(lens)
+        keys = list(t.entries)  # entries iterate in table order
+        assert keys == sorted(keys, key=lambda I: (len(I), I))
 
 
 def test_table_max_len_does_not_change_entries():
@@ -189,6 +189,104 @@ def test_table_and_milnor_match_total_degree_read_out():
             I = (1,) * (k + 1) + (2,)  # r(I) = k + 1: outside every table
             lam2 = longitude_series(code, TruncationPolicy.total_degree(n, k + 1))[1]
             assert milnor(code, I) == lam2.coefficient(I[:-1])
+
+
+def reference_terms(series, k):
+    """The read-out the dict way: the nonzero terms (J + (i,), c) of series
+    i with J not 1 and X_i fewer than k times in J, sorted by length and
+    then lexicographically."""
+    terms = [(J + (i,), c) for i, s in enumerate(series, start=1)
+             for J, c in s.items() if J and J.count(i) < k]
+    return sorted(terms, key=lambda t: (len(t[0]), t[0]))
+
+
+def read_out_codes(rng, n):
+    """A sorted, a moved, a kinked, a stacked and a mirrored code."""
+    base = random_realized(rng, n, 4)
+    kinked = moved_or_kinked(rng, base, "kinked")
+    yield "sorted", base
+    yield "moved", moved_or_kinked(rng, base, "moved")
+    yield "kinked", kinked
+    yield "stacked", stack(kinked, moved_or_kinked(rng, random_realized(rng, n, 4), "moved"))
+    yield "mirrored", oracle.mirror(kinked)
+
+
+def with_big_terms(rng, series):
+    """The series with terms past 2^63 added at random monomials of their
+    policy, the constant included, except the first, which keeps its
+    dtype."""
+    pol = series[0].policy
+    out = [series[0]]
+    for s in series[1:]:
+        terms = {(): 2**64}
+        for _ in range(10):
+            J = tuple(rng.randint(1, pol.rank) for _ in range(rng.randint(1, pol.max_total_degree)))
+            if oracle.survives(J, pol.max_total_degree, pol.caps):
+                terms[J] = rng.choice((1, -1)) * 2 ** rng.randint(63, 90)
+        out.append(s + series_from_terms(pol, terms))
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)])
+def test_indexed_terms_match_the_dict_read_out(n, k):
+    """magnus.indexed_terms, the table's one-mask read-out, gives the terms
+    of the dict read-out in its order, on sorted, moved, kinked, stacked
+    and mirrored codes: on the table pass and milnor_table, on a pass of
+    lower degree for a max_len below n*k, on the action's uniform_caps
+    conjugators of degree n*k, and on object-dtype series with
+    coefficients past 2^63.  At (2, 1) no cap binds."""
+    rng = random.Random(100 * n + k)
+
+    def read_out(series):
+        return list(magnus.indexed_terms(series, k).items())
+
+    for style, code in [c for _ in range(3) for c in read_out_codes(rng, n)]:
+        caps = [n * k] + ([rng.randint(2, n * k - 1)] if n * k > 2 else [])
+        for cap in caps:
+            lams = longitude_series(code, TruncationPolicy.with_caps(n, (k + 1,) * n, cap - 1))
+            want = reference_terms(lams, k)
+            assert read_out(lams) == want, (style, cap)
+            assert list(milnor_table(code, k, cap).entries.items()) == want, (style, cap)
+        conjugators = action(code, k).conjugators
+        assert read_out(conjugators) == reference_terms(conjugators, k), style
+        big = with_big_terms(rng, lams)
+        assert {s._vec.dtype for s in big} == {np.dtype(np.int64), np.dtype(object)}
+        assert read_out(big) == reference_terms(big, k), style
+
+
+def test_indexed_terms_needs_one_series_per_variable_under_one_policy():
+    pol = TruncationPolicy.uniform_caps(2, 1)
+    one = series_one(pol)
+    with pytest.raises(MagnusError, match="one series per variable"):
+        magnus.indexed_terms([one], 1)
+    with pytest.raises(MagnusError, match="policy mismatch"):
+        magnus.indexed_terms([one, series_one(TruncationPolicy.uniform_caps(2, 2))], 1)
+
+
+def sorted_first_difference(a, b):
+    """first_difference the sorting way: every index of either table, by
+    length and then lexicographically."""
+    for I in sorted(set(a.entries) | set(b.entries), key=lambda I: (len(I), I)):
+        if a.entries.get(I, 0) != b.entries.get(I, 0):
+            return I, a.entries.get(I, 0), b.entries.get(I, 0)
+    return None
+
+
+def test_first_difference_merges_the_ordered_entries():
+    """The merge of the two ordered entry lists finds the index the sorted
+    key union finds, on tables of random codes, the empty table, and a
+    table with entries dropped or doubled."""
+    rng = random.Random(71)
+    for n, k in ((2, 2), (3, 2), (3, 3)):
+        tables = [milnor_table(random_realized(rng, n), k) for _ in range(3)]
+        t = max(tables, key=lambda t: len(t.entries))
+        tables += [
+            InvariantTable(k, n * k),
+            InvariantTable(k, n * k, {I: v for I, v in t.entries.items() if rng.random() < 0.8}),
+            InvariantTable(k, n * k, {I: v * rng.choice((1, 1, 2)) for I, v in t.entries.items()}),
+        ]
+        for a, b in itertools.product(tables, repeat=2):
+            assert a.first_difference(b) == sorted_first_difference(a, b)
 
 
 def test_k_equal_modes_on_named_pairs():

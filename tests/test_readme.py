@@ -1,6 +1,7 @@
 """Every `$ weldmag ...` example in README.md runs, and prints exactly the
 output lines the README shows under it; every fenced python block runs."""
 
+import json
 import pathlib
 import shlex
 
@@ -57,6 +58,19 @@ def test_readme_example(capsys, line, shown):
     assert rc in (0, 1)
     if shown:
         assert out == "".join(f"{text}\n" for text in shown)
+
+
+@pytest.mark.parametrize("line", [line for line, _ in EXAMPLES], ids=str)
+def test_readme_example_json_is_canonical(capsys, line):
+    """Under --json, which every subcommand takes, each example prints one
+    object exactly as json.dumps(..., sort_keys=True) renders it: the
+    answer has one canonical renderer."""
+    argv = shlex.split(line)
+    if "--json" not in argv:
+        argv.append("--json")
+    assert main(argv) in (0, 1)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 def test_readme_python_blocks_run(capsys):
