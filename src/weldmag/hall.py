@@ -31,7 +31,8 @@ check of every row; either failing raises HallError.  As
 [gamma_d, gamma_d] lies in gamma_2d (Magnus, Karrass and Solitar, ch. 5),
 only degrees 2 <= d <= k/2 divide with products, each C^-x as
 sum_j binom(-x, j) u^j over the cached powers of u = expand(C) - 1; at
-2d > k the step is a sum.
+2d > k the step is a sum.  At d = k, u is C's principal part, so the top
+degree reads the principal parts, as the solve does, and expands nothing.
 """
 
 from __future__ import annotations
@@ -191,13 +192,23 @@ def _product(a: tuple, v: np.ndarray) -> np.ndarray:
     return scatter_sum(nrows, rows, v[cols], vals, norm * int(np.abs(v).max(initial=0)))
 
 
-def _principal(c: BasicCommutator, n: int) -> np.ndarray:
-    """C's principal part, the degree-|C| block of its Magnus expansion in
-    lex order: X_g for a_g, and P(D) P(C) - P(C) P(D) for [C, D] = C D̄ C̄ D."""
-    if c.generator is not None:
-        return np.eye(n, dtype=np.int64)[c.generator - 1]
-    left, right = _principal(c.left, n), _principal(c.right, n)
-    return np.outer(right, left).ravel() - np.outer(left, right).ravel()
+def _principal_parts(n: int, d: int) -> np.ndarray:
+    """The length-d basic commutators' principal parts as the columns of one
+    int64 matrix, rows in lex order: X_g for a_g, P(D) P(C) - P(C) P(D) for
+    [C, D] = C D̄ C̄ D, each formed once from its children's kept parts."""
+    if d == 1:
+        return np.eye(n, dtype=np.int64)
+    basis = generate_basic(n, d)
+    parts = dict(enumerate(np.eye(n, dtype=np.int64)))  # by ordinal, lengths < d
+    out = np.zeros((n**d, sum(c.length == d for c in basis)), dtype=np.int64)
+    for c in basis[n:]:
+        left, right = parts[c.left.ordinal], parts[c.right.ordinal]
+        p = np.outer(right, left).ravel() - np.outer(left, right).ravel()
+        if c.length < d:
+            parts[c.ordinal] = p
+        else:  # the length-d commutators close the basis
+            out[:, c.ordinal - len(basis)] = p
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +222,10 @@ def _degree_solver(n: int, d: int):
     so the unknowns split into one block per count vector.
     """
     basis = [c for c in generate_basic(n, d) if c.length == d]
-    principal = np.stack([_principal(c, n) for c in basis], axis=1)
     by_entries: dict[tuple[int, ...], list[int]] = {}
     for j, c in enumerate(basis):
         by_entries.setdefault(c.entries, []).append(j)
-    return _integer_solver(principal, list(by_entries.values()), d)
+    return _integer_solver(_principal_parts(n, d), list(by_entries.values()), d)
 
 
 def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
@@ -273,7 +283,12 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 @lru_cache(maxsize=None)
 def _powers(n: int, k: int, d: int) -> tuple:
     """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) of each length-d
-    basic commutator C_c in order, u_c = expand(C_c) - 1 at total degree k."""
+    basic commutator C_c in order, u_c = expand(C_c) - 1 at total degree k; at
+    d = k, u_c is C_c's principal part, so nothing is expanded."""
+    if d == k:  # the principal parts, under the rows of degrees < k
+        rows, cols, vals, nrows, norm = _sparse(_principal_parts(n, k))
+        low = sum(n**e for e in range(k))
+        return rows + low, cols, vals, low + nrows, norm
     policy = TruncationPolicy.total_degree(n, k)
     cols = []
     for c in (c for c in generate_basic(n, d) if c.length == d):

@@ -277,6 +277,14 @@ def test_hall_bad_sizes_report_the_basis_error(capsys):
     assert (rc, out, err) == (2, "", "error: max_len must be at least 1, got 0\n")
 
 
+@pytest.mark.parametrize("max_len", range(1, 6))
+def test_hall_rank_one(capsys, max_len):
+    for word, out in (("a1", "a1 ^ 1\ncertified\n"), ("a1 a1", "a1 ^ 2\ncertified\n"),
+                      ("", "certified\n")):
+        rc, got, err = run(capsys, "hall", "--rank", "1", "--max-len", str(max_len), "--factor", word)
+        assert (rc, got, err) == (0, out, "")
+
+
 def test_error_paths_use_stderr(capsys):
     rc, out, err = run(capsys, "table", "1: U9&+ / 2: O9+")
     assert rc == 2

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import _oracle as oracle
 from weldmag import hall, words
 from weldmag.hall import HallError, generate_basic, hall_factorize
-from weldmag.magnus import MagnusError, TruncationPolicy, expand
+from weldmag.magnus import MagnusError, TruncationPolicy, expand, series_mul, series_one
 from weldmag.words import Word, empty, generator, invert, multiply, power, word_from_letters
 
 
@@ -291,7 +291,8 @@ def test_only_degrees_up_to_half_of_k_form_products(monkeypatch):
 
 def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):
     """The solvers read their columns off the brackets and expand no word;
-    the powers expand no commutator word twice at one policy."""
+    the powers expand no commutator word twice at one policy, and none of
+    length k at max-len k, whose powers are the principal parts."""
     for cached in (hall._degree_solver, hall._powers):
         cached.cache_clear()
     seen = []
@@ -311,15 +312,78 @@ def test_set_up_expands_each_commutator_once_per_degree(monkeypatch):
     assert_matches_oracle(w, 4, exps)
     commutator_words = Counter((c, p) for c, p in seen if len(c) > 1)
     assert commutator_words and max(commutator_words.values()) == 1
+    top = [c for c in generate_basic(3, 4) if c.length == 4]
+    assert any(exps[-len(top):])  # the degree-4 step ran
+    assert not {c.word for c in top} & {c for c, _ in seen}
+
+    # rank 4, max-len 5: exactly the 86 commutators of lengths 2-4, once each
+    for cached in (hall._degree_solver, hall._powers):
+        cached.cache_clear()
+    seen.clear()
+    rng = random.Random(1)
+    w = word_from_letters(4, oracle.random_reduced_letters(rng, 4, 24))
+    exps, certified = hall_factorize(w, 5)
+    assert certified
+    basis = generate_basic(4, 5)
+    for d in range(2, 6):
+        assert any(e for c, e in zip(basis, exps) if c.length == d), d
+    expanded = [c for c, _ in seen[1:]]  # seen[0] is the question's word
+    want = [c.word for c in basis if 2 <= c.length <= 4]
+    assert len(want) == 86
+    assert sorted(map(repr, expanded)) == sorted(map(repr, want))
+
+
+def old_powers(n, k, d):
+    """_powers as built before the top degree read the principal parts:
+    every column from expand, with an empty basis as no columns."""
+    policy = TruncationPolicy.total_degree(n, k)
+    cols = []
+    for c in (c for c in generate_basic(n, d) if c.length == d):
+        p = [expand(c.word, policy) - series_one(policy)]
+        while len(p) < k // d:
+            p.append(series_mul(p[-1], p[0]))
+        cols += [np.concatenate([s.degree_block(e) for e in range(k + 1)]) for s in p]
+    size = sum(n**e for e in range(k + 1))
+    return hall._sparse(np.stack(cols, axis=1) if cols else np.zeros((size, 0), dtype=np.int64))
+
+
+def test_top_degree_powers_equal_the_expanded_ones():
+    """At d = k the powers matrix, read off the principal parts, equals the
+    one built from expand: rows, cols, values, dtype, row count and norm."""
+    for n in range(1, 5):
+        for k in range(1, 6):
+            got, want = hall._powers(n, k, k), old_powers(n, k, k)
+            for g, e in zip(got[:3], want[:3]):
+                assert g.dtype == e.dtype and g.tolist() == e.tolist(), (n, k)
+            assert got[3:] == want[3:], (n, k)
+            assert len(got[0]) > 0 or n == 1 and k > 1
 
 
 def test_principal_parts_are_the_lowest_blocks_of_the_expansions():
-    """_principal, formed from the bracket structure, is the degree-|C|
-    block of C's expansion, for ranks 1-4 and lengths up to 5."""
+    """_principal_parts, formed from the bracket structure, holds in column
+    j the degree-|C| block of the j-th length-|C| commutator's expansion,
+    for ranks 1-4 and lengths up to 5."""
     for n in range(1, 5):
-        for c in generate_basic(n, 5):
-            block = expand(c.word, TruncationPolicy.total_degree(n, c.length)).degree_block(c.length)
-            assert hall._principal(c, n).tolist() == block.tolist(), c
+        for d in range(1, 6):
+            parts = hall._principal_parts(n, d)
+            layer = [c for c in generate_basic(n, d) if c.length == d]
+            assert parts.shape == (n**d, len(layer)) and parts.dtype == np.int64
+            for j, c in enumerate(layer):
+                block = expand(c.word, TruncationPolicy.total_degree(n, d)).degree_block(d)
+                assert parts[:, j].tolist() == block.tolist(), c
+
+
+@pytest.mark.parametrize("max_len", range(1, 6))
+def test_rank_one_factors_as_a_power_of_a1(max_len):
+    """Rank 1 has no basic commutator of length >= 2: those degrees give no
+    exponents, and a1^m factors as a1 ^ m."""
+    for m in (0, 1, 2, -3):
+        w = power(generator(1, 1), m)
+        assert hall_factorize(w, max_len) == ([m], True)
+    for d in range(2, max_len + 1):
+        assert hall._degree_solver(1, d)(np.zeros(1, dtype=np.int64)) == []
+        with pytest.raises(HallError, match=f"degree-{d} system inconsistent at row 0"):
+            hall._degree_solver(1, d)(np.ones(1, dtype=np.int64))
 
 
 # A 20-letter rank-3 word (benchmark/inputs.random_letters, random.Random(4))
