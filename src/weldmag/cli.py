@@ -37,10 +37,6 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"bad {what} list {text!r}; expected comma-separated integers") from None
 
 
-def _mu(I: tuple[int, ...], value: object) -> str:
-    return f"mu({','.join(map(str, I))}) = {value}"
-
-
 # -- handlers ----------------------------------------------------------------------
 # Each returns (exit status, answer): under --json the answer is the JSON
 # object without its schema marker, otherwise the list of output lines.
@@ -50,7 +46,7 @@ def _cmd_milnor(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     code = gauss.parse(_read_source(args.code))
     I = _parse_ints(args.index, "index")
     value = invariants.milnor(code, I)
-    return 0, {"I": list(I), "mu": value} if args.json else [_mu(I, value)]
+    return 0, {"I": list(I), "mu": value} if args.json else [invariants.format_mu(I, value)]
 
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
@@ -72,7 +68,7 @@ def _cmd_compare(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
         if args.json:
             answer["witness"] = {"I": list(I), "left": va, "right": vb}
         else:
-            answer.append(f"witness: {_mu(I, f'{va} vs {vb}')}")
+            answer.append(f"witness: {invariants.format_mu(I, f'{va} vs {vb}')}")
     return 0 if equal else 1, answer
 
 
@@ -89,7 +85,7 @@ def _cmd_action(args: argparse.Namespace) -> tuple[int, dict | list[str]]:
     lines = [f"action rank={phi.rank} k={phi.k}"]
     for i, r in enumerate(phi.residues, start=1):
         lines.append(f"conjugator {i}:")
-        lines += [f"  {line}" for line in magnus.format_series(r).splitlines()]
+        lines += [f"  {label} : {c}" for label, c in r.labelled_items()]
     return 0, lines
 
 

@@ -31,8 +31,9 @@ check of every row; either failing raises HallError.  As
 [gamma_d, gamma_d] lies in gamma_2d (Magnus, Karrass and Solitar, ch. 5),
 only degrees 2 <= d <= k/2 divide with products, each C^-x as
 sum_j binom(-x, j) u^j over the cached powers of u = expand(C) - 1; at
-2d > k the step is a sum.  At d = k, u is C's principal part, so the top
-degree reads the principal parts, as the solve does, and expands nothing.
+2d > k the step is a sum.  The top degree d = k divides nothing off: the
+solve has checked every row of its block, which is what dividing off would
+certify, so no length-k commutator is expanded.
 """
 
 from __future__ import annotations
@@ -283,12 +284,7 @@ def _integer_solver(cols: np.ndarray, blocks: list[list[int]], d: int):
 @lru_cache(maxsize=None)
 def _powers(n: int, k: int, d: int) -> tuple:
     """In _sparse form, the columns u_c, u_c^2, ..., u_c^(k//d) of each length-d
-    basic commutator C_c in order, u_c = expand(C_c) - 1 at total degree k; at
-    d = k, u_c is C_c's principal part, so nothing is expanded."""
-    if d == k:  # the principal parts, under the rows of degrees < k
-        rows, cols, vals, nrows, norm = _sparse(_principal_parts(n, k))
-        low = sum(n**e for e in range(k))
-        return rows + low, cols, vals, low + nrows, norm
+    basic commutator C_c in order, u_c = expand(C_c) - 1 at total degree k."""
     policy = TruncationPolicy.total_degree(n, k)
     cols = []
     for c in (c for c in generate_basic(n, d) if c.length == d):
@@ -315,8 +311,9 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     left-multiplied by C_m^-x_m ... C_1^-x_1: at 2 <= d <= k/2 by each
     C_c^-x_c = 1 + sum_j binom(-x_c, j) u_c^j, one product per nonzero
     x_c over the cached powers of u_c = expand(C_c) - 1;
-    at 2d > k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no product.
-    ``certified`` reads the remainder's degree blocks 1..k.
+    at k/2 < d < k, where u_c u_c' vanishes, as rem - sum_c x_c u_c, no
+    product; at d = k not at all, as the solve has checked every row of
+    that block.  ``certified`` reads the remainder's degree blocks 1..k-1.
     """
     k = words.integer(k, "k", HallError)
     if k < 1:
@@ -329,7 +326,7 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
     for d in range(2, k + 1):
         x = _degree_solver(n, d)(rem.degree_block(d))
         exps.extend(x)
-        if not any(x):
+        if d == k or not any(x):
             continue
         if 2 * d > k:
             rem = rem - TruncatedSeries(policy, _product(_powers(n, k, d), np.array(x, dtype=object)))
@@ -343,5 +340,5 @@ def hall_factorize(w: Word, k: int) -> tuple[list[int], bool]:
                     factor = _product(u, b)
                     factor[0] = 1
                     rem = series_mul(TruncatedSeries(policy, factor), rem)
-    certified = not any(rem.degree_block(d).any() for d in range(1, k + 1))
+    certified = not any(rem.degree_block(d).any() for d in range(1, k))
     return exps, certified

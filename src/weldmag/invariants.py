@@ -63,6 +63,7 @@ __all__ = [
     "r_index",
     "milnor",
     "InvariantTable",
+    "format_mu",
     "milnor_table",
     "compare",
     "KReducedAction",
@@ -129,6 +130,11 @@ def milnor(L: StringLinkCode, I: Sequence[int]) -> int:
     return lam[I[-1] - 1].coefficient(head)
 
 
+def format_mu(I: Sequence[int], value: object) -> str:
+    """The text line `mu(2,1) = 1` of an index and its value."""
+    return f"mu({','.join(map(str, I))}) = {value}"
+
+
 @dataclass
 class InvariantTable:
     """All nonzero mu(I) with r(I) <= k and 2 <= |I| <= max_len.
@@ -146,7 +152,7 @@ class InvariantTable:
         return not self.entries
 
     def format_lines(self) -> list[str]:
-        return [f"mu({','.join(map(str, I))}) = {v}" for I, v in self.entries.items()]
+        return [format_mu(I, v) for I, v in self.entries.items()]
 
     def first_difference(
         self, other: "InvariantTable"

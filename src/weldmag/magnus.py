@@ -30,6 +30,9 @@ bound into int64 below INT64_SAFE and Python ints (object dtype) from it
 on.  Overflow can therefore never wrap silently.  Series carry no bound
 between operations.
 
+Monomial indices are decoded in one place: a per-policy matrix of letters,
+built on first read, whose rows every reader of terms gathers.
+
 Every product of two series, or one degree block of it, is formed by
 ``_convolve`` as one scatter_sum: over index triples (a, b, c) with
 mono_a * mono_b = mono_c, it adds sv[a] * tv[b] into slot c.  The triples
@@ -67,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -234,8 +237,8 @@ class _PolicySpace:
     parent src, and slices holds its nonempty degree slices as (dst, src)
     views.
 
-    letter_counts, built on first read, holds every letter's count in every
-    monomial unpacked (see indexed_terms).
+    letters, built on first read, is the one decoder of monomials: monos,
+    letter_counts, labelled_items and indexed_terms gather its rows.
     """
 
     def __init__(self, policy: TruncationPolicy) -> None:
@@ -299,39 +302,46 @@ class _PolicySpace:
                 (src, dst, [(dst[lo:hi], src[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]))
 
         self._splits: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._monos: dict[int, tuple[int, ...]] = {0: ()}
-        self._labels: dict[int, str] = {}
+
+    @cached_property
+    def letters(self) -> np.ndarray:
+        """Monomial i's letters at [i, :deg[i]], zeros after them, in the
+        smallest unsigned dtype holding the rank: each degree-d layer is its
+        parents' rows with its last letters in column d - 1."""
+        letters = np.zeros((self.size, self.max_degree), dtype=np.min_scalar_type(self.policy.rank))
+        for d, (lo, hi) in enumerate(zip(self.deg_start[1:], self.deg_start[2:]), start=1):
+            letters[lo:hi] = letters[self.parent[lo:hi]]
+            letters[lo:hi, d - 1] = self.last[lo:hi]
+        return letters
 
     @cached_property
     def letter_counts(self) -> np.ndarray:
         """The count of X_j in monomial i at [i, j - 1], for every letter,
-        in the smallest unsigned dtype that holds the degree q; each layer
-        is its parents' counts plus its last letters.  Products never read
-        it, so only a policy whose terms are read by letter builds it."""
-        counts = np.zeros((self.size, self.policy.rank), dtype=np.min_scalar_type(self.max_degree))
-        for lo, hi in zip(self.deg_start[1:], self.deg_start[2:]):
-            counts[lo:hi] = counts[self.parent[lo:hi]]
-            counts[np.arange(lo, hi), self.last[lo:hi] - 1] += 1
-        return counts
+        in the smallest unsigned dtype that holds the degree q: one bincount
+        of the letters by row, whose column 0 counts the padding."""
+        base = self.policy.rank + 1
+        slots = self.letters + base * np.arange(self.size)[:, None]
+        counts = np.bincount(slots.ravel(), minlength=base * self.size).reshape(self.size, base)
+        return counts[:, 1:].astype(np.min_scalar_type(self.max_degree))
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """Each monomial's format_monomial string, None until first read."""
+        return np.full(self.size, None, dtype=object)
 
     def triple_span(self, degree: int | None = None) -> tuple[int, int]:
         """Where in splits() the triples of the degree-d monomials lie, or
         all triples."""
         return (0, self.triples) if degree is None else tuple(self._triple_start[degree : degree + 2])
 
-    def monos_at(self, idx: Iterable[int]) -> list[tuple[int, ...]]:
-        """The monomials at the indices idx as tuples of letters, each
-        formed on first use from its parent's and kept."""
-        known, idx = self._monos, list(idx)
-        for i in idx:
-            path = []
-            while i not in known:
-                path.append(i)
-                i = int(self.parent[i])
-            m = known[i]
-            for p in reversed(path):
-                m = known[p] = m + (int(self.last[p]),)
-        return [known[i] for i in idx]
+    def monos(self, idx: np.ndarray) -> list[tuple[int, ...]]:
+        """The monomials at the ascending indices idx as tuples of letters,
+        one gather of letters rows per degree."""
+        cuts = np.searchsorted(idx, self.deg_start).tolist()
+        out = []
+        for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+            out += map(tuple, self.letters[idx[lo:hi], :d].tolist())
+        return out
 
     def find(self, mono: tuple[int, ...]) -> int | None:
         """Index of a monomial, or None when the policy drops it."""
@@ -363,15 +373,6 @@ class _PolicySpace:
                 B[at] = np.searchsorted(codes, codes[lo:] % power)
             self._splits = (A, B, C)
         return self._splits
-
-    def labels(self, idx: list[int]) -> list[str]:
-        """format_monomial of each monomial in idx, formatted on first use
-        and kept."""
-        known = self._labels
-        missing = [i for i in idx if i not in known]
-        for i, m in zip(missing, self.monos_at(missing)):
-            known[i] = format_monomial(m)
-        return [known[i] for i in idx]
 
 
 @lru_cache(maxsize=None)
@@ -408,13 +409,15 @@ class TruncatedSeries:
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Nonzero (monomial, coefficient) pairs in (degree, lex) order."""
         nz = np.flatnonzero(self._vec != 0)
-        return zip(_space(self.policy).monos_at(nz.tolist()), self._vec[nz].tolist())
+        return zip(_space(self.policy).monos(nz), self._vec[nz].tolist())
 
     def labelled_items(self) -> Iterator[tuple[str, int]]:
         """Nonzero (label, coefficient) pairs in items() order, each label
         the format_monomial string, formatted once per policy."""
-        nz = np.flatnonzero(self._vec != 0)
-        return zip(_space(self.policy).labels(nz.tolist()), self._vec[nz].tolist())
+        space, nz = _space(self.policy), np.flatnonzero(self._vec != 0)
+        new = nz[np.equal(space.labels[nz], None)]
+        space.labels[new] = list(map(format_monomial, space.monos(new)))
+        return zip(space.labels[nz].tolist(), self._vec[nz].tolist())
 
     @property
     def is_one(self) -> bool:
@@ -472,8 +475,8 @@ class TruncatedSeries:
         return self + -other
 
     def __repr__(self) -> str:
-        terms = list(self.items())
-        head = ", ".join(f"{format_monomial(m)}:{c}" for m, c in terms[:4])
+        terms = list(self.labelled_items())
+        head = ", ".join(f"{label}:{c}" for label, c in terms[:4])
         if len(terms) > 4:
             head += ", ..."
         return f"TruncatedSeries({head or '0'})"
@@ -715,9 +718,9 @@ def indexed_terms(series: Sequence[TruncatedSeries], k: int) -> dict[tuple[int, 
     mask, nonzero and fewer than k in the policy's letter counts, picks the
     terms.  np.nonzero lists the kept (J, i) row by row, J ascending and
     then i, and monomial indices follow (degree, lex) order, so that is
-    already the (length, lex) order of J + (i,): nothing is sorted.  Only
-    the kept J are decoded, one degree at a time: their letters are read
-    up the parents into one matrix whose last column is i.
+    already the (length, lex) order of J + (i,): nothing is sorted.  The
+    kept J are read one degree at a time, as their rows of the policy's
+    letters with i as one more column.
     """
     k = integer(k, "k", MagnusError)
     if not series or len(series) != series[0].policy.rank:
@@ -732,13 +735,8 @@ def indexed_terms(series: Sequence[TruncatedSeries], k: int) -> dict[tuple[int, 
     index = []
     cuts = np.searchsorted(rows, space.deg_start).tolist()
     for d, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
-        letters = np.empty((hi - lo, d + 1), dtype=np.int64)
-        letters[:, d] = cols[lo:hi] + 1
-        at = rows[lo:hi]
-        for j in reversed(range(d)):
-            letters[:, j] = space.last[at]
-            at = space.parent[at]
-        index += map(tuple, letters.tolist())
+        kept = np.column_stack((space.letters[rows[lo:hi], :d], cols[lo:hi] + 1))
+        index += map(tuple, kept.tolist())
     return dict(zip(index, coeffs[rows, cols].tolist()))
 
 

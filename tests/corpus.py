@@ -100,7 +100,7 @@ def differences(records: list[dict]) -> list[str]:
         got = run(want["argv"])
         bad = [key for key in ("exit", "stdout", "stderr") if got[key] != want[key]]
         if bad:
-            found.append(f"{'/'.join(bad)} differ: weldmag {shlex.join(want['argv'])[:200]}")
+            found.append(f"{'/'.join(bad)} differ: {json.dumps(want['argv'])[:200]}")
     return found
 
 

@@ -4,7 +4,6 @@
 import corpus
 
 
-
 def text_argv(argv):
     return tuple(a for a in argv if a != "--json")
 
@@ -31,7 +30,6 @@ def test_a_changed_answer_fails_the_replay():
     """A line whose stdout hash or exit code differs from the replay is
     reported, naming the command."""
     want = dict(RECORDS[0], stdout="0" * 64)
-    assert corpus.differences([want]) == [
-        f"stdout differ: weldmag {corpus.shlex.join(want['argv'])}"]
+    assert corpus.differences([want]) == [f"stdout differ: {corpus.json.dumps(want['argv'])}"]
     want = dict(RECORDS[0], exit=RECORDS[0]["exit"] + 1)
     assert corpus.differences([want])[0].startswith("exit differ")

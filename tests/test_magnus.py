@@ -52,15 +52,14 @@ def rand_series(rng, policy, terms=6, span=9):
 
 
 def expand_all_monos(policy):
-    # every admissible monomial, via the identity series trick
-    s = series_one(policy)
-    seen = []
-    from weldmag.magnus import _space
+    # every admissible monomial, with coefficient 0
+    return [(m, 0) for m in all_monos(magnus._space(policy))]
 
-    sp = _space(policy)
-    for m in sp.monos_at(range(sp.size)):
-        seen.append((m, 0))
-    return seen
+
+def all_monos(space):
+    """Every monomial of the space in index order, read off its letters
+    matrix row by row."""
+    return [tuple(row[:d]) for row, d in zip(space.letters.tolist(), space.deg.tolist())]
 
 
 def test_policy_constructors():
@@ -117,7 +116,7 @@ def test_one_ideal_has_one_policy(description, policy):
     assert TruncationPolicy(p.rank, p.max_total_degree, p.caps) == p
     monos = [m for d in range(q + 1) for m in itertools.product(range(1, rank + 1), repeat=d)
              if oracle.survives(m, q, caps)]
-    assert magnus._space(p).monos_at(range(magnus._space(p).size)) == monos
+    assert all_monos(magnus._space(p)) == monos
 
 
 def test_degree_arguments_are_range_checked():
@@ -221,7 +220,7 @@ def kernel_operands(rng, policy, support, big):
     """Two random operands, from one term to full support, as dicts; the
     first scaled past float precision when big."""
     space = magnus._space(policy)
-    monos = space.monos_at(range(space.size))
+    monos = all_monos(space)
 
     def operand(full):
         picks = monos if full else rng.sample(monos, rng.randint(1, min(len(monos), 12)))
@@ -630,7 +629,7 @@ def test_substitution_validation():
 
 
 def naive_splits(space):
-    monos = space.monos_at(range(space.size))
+    monos = all_monos(space)
     index = {m: i for i, m in enumerate(monos)}
     A, B, C = [], [], []
     for c, m in enumerate(monos):
@@ -663,8 +662,17 @@ def test_policy_space_lists_admitted_monomials_in_order(policy):
                  if oracle.survives(m + (v,), policy.max_total_degree, policy.caps)]
         admitted += layer
     space = _PolicySpace(policy)
-    monos = space.monos_at(range(space.size))
+    monos = all_monos(space)
     assert monos == sorted(admitted, key=lambda m: (len(m), m))
+    # letters pads with zeros in the smallest unsigned dtype holding the
+    # rank, and letter_counts counts each letter in each row
+    letters = space.letters
+    assert letters.shape == (space.size, policy.max_total_degree)
+    assert letters.dtype == np.min_scalar_type(policy.rank)
+    assert not any(any(row[len(m):]) for row, m in zip(letters.tolist(), monos))
+    assert space.letter_counts.dtype == np.min_scalar_type(policy.max_total_degree)
+    assert space.letter_counts.tolist() == [[m.count(v) for v in range(1, policy.rank + 1)]
+                                            for m in monos]
     assert {len(m) for m in monos} == set(range(policy.max_total_degree + 1))
     assert [space.find(m) for m in monos] == list(range(space.size))
     assert all(x < y for x, y in zip(space.codes.tolist(), space.codes[1:].tolist()))
@@ -743,12 +751,37 @@ def test_serialization_format():
 
 
 def test_labelled_items_match_format_monomial():
+    """items() lists the nonzero terms in the oracle's (degree, lex) order of
+    the admitted monomials, and labelled_items() formats the same monomials,
+    in int64 and in object dtype, under total-degree, cap and table
+    policies."""
     rng = random.Random(13)
-    pol = TruncationPolicy.uniform_caps(3, 2)
-    for _ in range(3):  # later rounds read labels formatted earlier
-        s, _ = rand_series(rng, pol, terms=8)
-        want = [(format_monomial(m), c) for m, c in s.items()]
-        assert list(s.labelled_items()) == want
+    for pol in (TruncationPolicy.total_degree(3, 4), TruncationPolicy.uniform_caps(3, 2),
+                TruncationPolicy.component_caps(3, 2, 2),
+                TruncationPolicy.with_caps(3, (3, 3, 3), 5)):  # milnor_table's at n = 3, k = 2
+        q, caps = pol.max_total_degree, pol.caps
+        admitted = [m for d in range(q + 1) for m in itertools.product(range(1, 4), repeat=d)
+                    if oracle.survives(m, q, caps)]
+        for scale in (1, 2**70):
+            for _ in range(3):  # later rounds read labels formatted earlier
+                terms = {m: rng.randint(-5, 5) * scale for m in rng.sample(admitted, 12)}
+                s = series_from_terms(pol, terms)
+                assert s._vec.dtype == (np.int64 if scale == 1 else object)
+                assert list(s.items()) == [(m, terms[m]) for m in admitted if terms.get(m)]
+                want = [(format_monomial(m), c) for m, c in s.items()]
+                assert list(s.labelled_items()) == want
+
+
+def test_labels_are_formatted_only_when_read():
+    """A policy keeps one label slot per monomial, and labelling a 3-term
+    series fills exactly its 3 slots."""
+    pol = TruncationPolicy.uniform_caps(4, 2)
+    space = magnus._space(pol)
+    space.__dict__.pop("labels", None)  # a fresh, empty set of slots
+    s = series_from_terms(pol, {(): 1, (2, 1): -2, (4, 4, 3): 5})
+    assert list(s.labelled_items()) == [("1", 1), ("X2.X1", -2), ("X4.X4.X3", 5)]
+    assert space.labels.shape == (space.size,)
+    assert np.count_nonzero(np.not_equal(space.labels, None)) == 3
 
 
 def test_items_order_and_equality():
