@@ -64,13 +64,18 @@ def benchmark_commands() -> list[list[str]]:
     return found
 
 
+def text_argv(argv: list[str]) -> tuple[str, ...]:
+    """The command without --json."""
+    return tuple(a for a in argv if a != "--json")
+
+
 def commands() -> list[list[str]]:
     """Each command once as text and once under --json, in that order, in
     the order first met."""
     out = {}
     for argv in readme_commands() + benchmark_commands():
-        text = [a for a in argv if a != "--json"]
-        out.update({tuple(text): None, (*text, "--json"): None})
+        text = text_argv(argv)
+        out.update({text: None, (*text, "--json"): None})
     return [list(argv) for argv in out]
 
 

@@ -2,11 +2,7 @@
 `python tests/corpus.py --check` replays all of it."""
 
 import corpus
-
-
-def text_argv(argv):
-    return tuple(a for a in argv if a != "--json")
-
+from corpus import text_argv
 
 RECORDS = corpus.load()
 README = set(map(text_argv, corpus.readme_commands()))
